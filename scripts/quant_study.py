@@ -12,18 +12,8 @@ import csv
 import sys
 
 from fastssc import QuantSpec, construct_code
+from fastssc.cli import parse_ebn0
 from fastssc.sim import StopRule, run_ber_sweep
-
-
-def parse_points(text):
-    vals = []
-    for token in text.split(","):
-        token = token.strip()
-        if token:
-            vals.append(float(token))
-    if not vals:
-        raise ValueError("empty Eb/N0 list")
-    return vals
 
 
 def main(argv=None):
@@ -31,7 +21,8 @@ def main(argv=None):
     ap.add_argument("--n", type=int, default=1024)
     ap.add_argument("--k", type=int, default=512)
     ap.add_argument("--design-snr", type=float, default=2.0)
-    ap.add_argument("--ebn0", default="1.5,1.75,2.0,2.25,2.5,2.75,3.0")
+    ap.add_argument("--ebn0", default="1.5,1.75,2.0,2.25,2.5,2.75,3.0",
+                    help="comma list and/or lo:hi:step ranges, in dB")
     ap.add_argument("--schemes", default="4,5,0;5,6,0;6,7,1",
                     help="semicolon-separated C,L,F triples")
     ap.add_argument("--min-frame-errors", type=int, default=200)
@@ -42,7 +33,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     code = construct_code(args.n, args.k, args.design_snr)
-    points = parse_points(args.ebn0)
+    points = parse_ebn0(args.ebn0)
     stop = StopRule(args.min_frame_errors, args.max_frames)
     runs = [("float", None)]
     runs += [(s.strip(), QuantSpec.from_string(s)) for s in args.schemes.split(";") if s.strip()]

@@ -3,24 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, fast, hw, sim
 from .quant import QuantSpec
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: the code plus decoder and quantization choices."""
-
-    code: core.PolarCode
-    decoder: str = "fast_ssc"
-    quant: QuantSpec | None = None
-    seed: int = 0
-    precompute: bool = True
+from .reference import sc_latency_cycles, two_bit_precomputed_cycles
 
 
 def _add_code_args(p):
@@ -40,12 +30,15 @@ def _resolve_code(args):
     return core.construct_code(args.n, args.k, args.design_snr, method=args.method)
 
 
-def _parse_ebn0(text):
+def parse_ebn0(text):
+    """Eb/N0 points in dB from a comma list of values and ``lo:hi:step`` ranges."""
     pts = []
     for token in text.split(","):
         token = token.strip()
         if ":" in token:
             lo, hi, step = (float(t) for t in token.split(":"))
+            if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0:
+                raise ValueError(f"Eb/N0 range {token!r} needs finite bounds and a step > 0")
             v = lo
             while v <= hi + 1e-9:
                 pts.append(round(v, 6))
@@ -76,9 +69,9 @@ def cmd_schedule(args):
     for e in report.entries:
         print(f"node={e.node:5d} kind={e.kind:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")
     total = report.total_cycles
-    conv = 2 * code.N - 2
-    pre = code.N - 1
-    base = 0.75 * code.N - 1
+    conv = sc_latency_cycles(code, "conventional")
+    pre = sc_latency_cycles(code, "precomputed")
+    base = two_bit_precomputed_cycles(code.N)
     print(f"total_cycles={total}")
     print(f"reduction_vs_conventional_{conv}={1 - total / conv:.4f}")
     print(f"reduction_vs_precomputed_{pre}={1 - total / pre:.4f}")
@@ -153,7 +146,7 @@ def cmd_ber(args):
     quant = QuantSpec.from_string(args.quant) if args.quant else None
     stop = sim.StopRule(args.min_frame_errors, args.max_frames)
     rows = sim.run_ber_sweep(
-        code, _parse_ebn0(args.ebn0), decoder=args.decoder.replace("-", "_"),
+        code, parse_ebn0(args.ebn0), decoder=args.decoder.replace("-", "_"),
         quant=quant, tie_mode=args.tie_mode, stop=stop, seed=args.seed,
         batch=args.batch, workers=args.workers,
     )

@@ -114,11 +114,6 @@ def _classify_mask(mask):
     return NodeKind.BRANCH
 
 
-def decode_rate0(size):
-    """Codeword estimate of an all-frozen node: zeros."""
-    return np.zeros(size, dtype=np.uint8)
-
-
 def decode_rate1(alpha):
     """Codeword estimate of an all-information node: elementwise thresholds."""
     return hard_decision(alpha)
@@ -165,22 +160,30 @@ def decode_spc(alpha):
 def decode_rep(alpha, spec=None):
     """Repetition decode: the sign of the LLR sum, replicated.
 
+    The sum comes from :func:`rep_sum`, in the order plain SC accumulates it.
+    """
+    alpha = np.asarray(alpha)
+    bit = hard_decision(rep_sum(alpha if alpha.ndim == 2 else alpha[None, :], spec))
+    beta = np.repeat(bit[:, None], alpha.shape[-1], axis=1).astype(np.uint8)
+    return beta[0] if alpha.ndim == 1 else beta
+
+
+def rep_sum(alpha, spec=None):
+    """Row sums of a (batch, size) block on the repetition adder tree.
+
     The sum is accumulated pairwise over strides of half the node length,
     saturating at each level when a quantization spec is given.  That is the
     exact order the plain SC recursion (and the adder tree in the datapath
     model) accumulates it in, which keeps all three bit-identical.
     """
-    alpha = np.asarray(alpha)
-    total = alpha if alpha.ndim == 2 else alpha[None, :]
+    total = alpha
     while total.shape[1] > 1:
         half = total.shape[1] // 2
         if spec is None:
             total = total[:, :half] + total[:, half:]
         else:
             total = sat_add(total[:, :half], total[:, half:], spec)
-    bit = hard_decision(total[:, 0])
-    beta = np.repeat(bit[:, None], alpha.shape[-1], axis=1).astype(np.uint8)
-    return beta[0] if alpha.ndim == 1 else beta
+    return total[:, 0]
 
 
 def _rate1_tie_risk(alpha):
@@ -240,22 +243,39 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
     """
     if tie_mode not in ("exact", "hardware"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    tree = classified(code)
     alpha, single = prepare_llr(llr, code.N, spec)
-    batch = alpha.shape[0]
-    u_hat = np.zeros((batch, code.N), dtype=np.uint8)
+    result = _walk(code, alpha, spec, tie_mode)
+    if single:
+        return DecodeResult(result.u_hat[0], result.x_hat[0])
+    return result
 
-    def emit(node, beta):
-        u_hat[:, node.offset : node.offset + node.size] = polar_transform(beta)
-        return beta
+
+def _walk(code, alpha, spec, tie_mode, hook=None):
+    """Decode a (batch, N) block depth-first over the classified tree.
+
+    ``hook(node, op, inp, out)``, when given, sees every update in decode
+    order.  A branch reports ``op="f"`` with its LLRs in and the left
+    child's LLRs out, then ``op="g"`` with the left child's estimate in and
+    the right child's LLRs out.  A leaf reports its kind's value with its
+    LLRs in and its codeword estimate out.
+
+    Returns a batched :class:`DecodeResult`.  The transform is its own
+    inverse, so one transform of the root estimate gives ``u_hat``.
+    """
+    batch = alpha.shape[0]
 
     def visit(node, a):
         if node.kind is NodeKind.BRANCH:
             half = node.size // 2
             near, far = a[:, half:], a[:, :half]
-            beta_l = visit(node.children[0], f_min_sum(far, near))
-            beta_r = visit(node.children[1], g_function(beta_l, near, far, spec))
-            return combine_beta(beta_l, beta_r)
+            a_left = f_min_sum(far, near)
+            if hook:
+                hook(node, "f", a, a_left)
+            beta_l = visit(node.children[0], a_left)
+            a_right = g_function(beta_l, near, far, spec)
+            if hook:
+                hook(node, "g", beta_l, a_right)
+            return combine_beta(beta_l, visit(node.children[1], a_right))
         if node.kind is NodeKind.RATE0:
             beta = np.zeros((batch, node.size), dtype=np.uint8)
         elif node.kind is NodeKind.RATE1:
@@ -269,12 +289,12 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
             if risk.any():
                 sub = sc_decode(_subcode(code, node), a[risk], spec)
                 beta[risk] = sub.x_hat
-        return emit(node, beta)
+        if hook:
+            hook(node, node.kind.value, a, beta)
+        return beta
 
-    x_hat = visit(tree, alpha)
-    if single:
-        return DecodeResult(u_hat[0], x_hat[0])
-    return DecodeResult(u_hat, x_hat)
+    x_hat = visit(classified(code), alpha)
+    return DecodeResult(polar_transform(x_hat), x_hat)
 
 
 @dataclass
@@ -325,7 +345,7 @@ def latency_model(tree, precompute=True):
     """Static cycle count of the pruned schedule.
 
     Walks the classified tree in decode order and sums per-node costs; the
-    cycle-level datapath model reproduces the same totals by construction.
+    cycle-level datapath model reports this schedule and traces its cycles.
     """
     report = ScheduleReport(N=1 << tree.stage)
     def walk(node):

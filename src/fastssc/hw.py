@@ -15,97 +15,24 @@ Each PU owns the pieces the schedule multiplexes between:
 * a parity-transfer unit (PTU) that routes a parity bit toward the surviving
   input, lane by lane, when a single-parity-check repair needs it.
 
-The model is cycle-accurate at the schedule level: every visited node spends
-exactly the cycles of :func:`fastssc.fast.latency_model`, and the per-cycle
-trace can be exported as JSON lines.  Arithmetic is the same saturating
-fixed point the quantized software decoders use, so outputs are bit-identical
-to ``fast_ssc_decode(..., tie_mode="hardware")``.
+Constituent codes run on the same units and schedule as regular nodes, so the
+model is the pruned decode walk of :mod:`fastssc.fast` in hardware tie mode,
+in the tree's saturating fixed point.  Outputs are therefore bit-identical to
+``fast_ssc_decode(..., tie_mode="hardware")``; every visited node spends the
+cycles of :func:`fastssc.fast.latency_model`, and the per-cycle trace of the
+first frame can be exported as JSON lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import NodeKind, ScheduleEntry, ScheduleReport, classified
-from .quant import QuantSpec, sat_add
-from .reference import DecodeResult, f_min_sum, hard_decision, prepare_llr
-from .core import polar_transform
-
-
-@dataclass
-class PuState:
-    """Registers of one processing unit."""
-
-    reg_sum: int = 0
-    reg_diff: int = 0
-    cmp_flag: int = 0
-
-
-@dataclass
-class PtuIo:
-    """Parity-transfer unit ports: parity-check bit in, select, two outputs."""
-
-    pcb: int
-    ss: int
-    o1: int = 0
-    o2: int = 0
-
-
-def ptu_route(io):
-    """Route the parity bit toward the surviving lane.
-
-    O1 = PCB and not SS (minimum came from the first input); O2 = PCB and SS.
-    At most one output is ever set.
-    """
-    o1 = io.pcb & (io.ss ^ 1)
-    o2 = io.pcb & io.ss
-    return replace(io, o1=o1, o2=o2)
-
-
-def pu_cycle(state, a, b, mode, spec=None, partial_sum=0):
-    """One clock of one processing unit.
-
-    Parameters
-    ----------
-    state : PuState
-    a, b : int or ndarray
-        ``a`` is the lower-index input (the far operand of the variable-node
-        update), ``b`` the upper-index input (the near operand).
-    mode : str
-        ``"f"``: min-sum output; also precomputes the sum/difference registers
-        so the later select costs nothing.
-        ``"g_select"``: return the register picked by ``partial_sum``.
-        ``"spc_compare"``: forward the smaller-magnitude input (ties keep
-        ``a``) and record the winner in the compare flag.
-        ``"rep_accumulate"``: saturating add.
-    spec : QuantSpec, optional
-        Saturate the add path; omit for ideal integer arithmetic.
-
-    Returns
-    -------
-    (out, PuState)
-    """
-    if mode == "f":
-        out = f_min_sum(a, b)
-        if spec is None:
-            new = replace(state, reg_sum=b + a, reg_diff=b - a)
-        else:
-            new = replace(state, reg_sum=sat_add(b, a, spec), reg_diff=sat_add(b, -np.asarray(a), spec))
-        return out, new
-    if mode == "g_select":
-        out = np.where(np.asarray(partial_sum).astype(bool), state.reg_diff, state.reg_sum)
-        return out, state
-    if mode == "spc_compare":
-        second_wins = np.abs(b) < np.abs(a)
-        out = np.where(second_wins, b, a)
-        return out, replace(state, cmp_flag=second_wins.astype(np.uint8))
-    if mode == "rep_accumulate":
-        out = (np.asarray(a) + np.asarray(b)) if spec is None else sat_add(a, b, spec)
-        return out, state
-    raise ValueError(f"unknown PU mode {mode!r}")
+from .fast import ScheduleReport, _walk, classified, fold_argmin, latency_model, rep_sum
+from .quant import QuantSpec
+from .reference import hard_decision, prepare_llr
 
 
 class PuTree:
@@ -126,92 +53,58 @@ class PuTree:
         return self.N - 1
 
 
-def _trace(rows, cycle, stage, unit, op, ins, out):
-    if rows is not None:
-        rows.append({
-            "cycle": int(cycle), "stage": int(stage), "unit": unit, "op": op,
-            "in": ins, "out": out,
-        })
-
-
 def _scalarize(arr):
     a = np.asarray(arr)
     return a.reshape(-1)[0].item()
 
 
-def spc_hw_decode(tree, alpha, trace_rows=None, start_cycle=0):
-    """Single-parity-check decode on the comparator tree.
+def _tracer(rows, spec):
+    """Walk hook that logs the first frame's datapath, one row per cycle."""
+    cycle = 0
 
-    The minimum search reuses the magnitude comparators of the min-sum path,
-    one layer per cycle; the XOR of input sign bits rides along and lands as
-    the parity.  One final cycle routes the parity through the PTU chain to
-    the surviving lane and applies the repair.
+    def log(stage, unit, op, ins, out):
+        rows.append({"cycle": cycle, "stage": stage, "unit": unit, "op": op,
+                     "in": ins, "out": out})
 
-    Returns ``(beta, cycles)``; the node of length ``2**m`` costs ``m + 1``.
-    """
-    a = np.asarray(alpha)
-    arr = a if a.ndim == 2 else a[None, :]
-    size = arr.shape[1]
-    if size < 4 or size & (size - 1):
-        raise ValueError(f"parity-check node length must be a power of 2 >= 4, got {size}")
-    if size > tree.N:
-        raise ValueError("node is wider than the processing tree")
-    m = size.bit_length() - 1
-    beta = hard_decision(arr)
-    signs = beta.copy()
-    mags = np.abs(arr)
-    values = arr
-    flags = {}
-    cycles = 0
-    for layer in range(m - 1, -1, -1):
-        half = 1 << layer
-        second_wins = mags[:, half:] < mags[:, :half]  # tie keeps the lower lane
-        flags[layer] = second_wins
-        values = np.where(second_wins, values[:, half:], values[:, :half])
-        mags = np.where(second_wins, mags[:, half:], mags[:, :half])
-        signs = signs[:, :half] ^ signs[:, half:]
-        cycles += 1
-        _trace(trace_rows, start_cycle + cycles, layer, "pu[*]", "spc_compare",
-               None, _scalarize(values))
-    parity = signs[:, :1]
-    # Parity repair: one cycle to walk the PTU chain back out to the lanes.
-    pcb = parity
-    for layer in range(m):
-        ss = flags[layer]
-        pcb = np.concatenate([pcb & (1 - ss), pcb & ss], axis=1)
-    cycles += 1
-    _trace(trace_rows, start_cycle + cycles, 0, "ptu[*]", "ptu_route",
-           int(_scalarize(parity)), None)
-    beta ^= pcb.astype(np.uint8)
-    beta = beta if a.ndim == 2 else beta[0]
-    return beta, cycles
+    def hook(node, op, inp, out):
+        nonlocal cycle
+        layer = node.stage - 1
+        if op == "f":
+            # One cycle computes the min-sum outputs and banks both update
+            # candidates, so the post-partial-sum select is free.
+            cycle += 1
+            log(layer, "pu[*]", "f", None, _scalarize(out))
+        elif op == "g":
+            log(layer, "pu[*]", "g_select", int(_scalarize(inp)), _scalarize(out))
+        elif node.stage == 0:
+            pass  # leaf decisions are combinational: zero cycles
+        elif op == "rate0":
+            cycle += 1
+            log(layer, "psg", "rate0", None, 0)
+        elif op == "rate1":
+            cycle += 1
+            log(layer, "pu[*]", "rate1", None, None)
+        else:
+            # The SPC comparator tree and the REP adder tree halve the lanes
+            # once per cycle.  After the round that leaves 2**s lanes, lane 0
+            # has combined every (2**s)-th input, in the kernel's own order.
+            frame0 = inp[:1]
+            for s in range(layer, -1, -1):
+                lanes = frame0[:, :: 1 << s]
+                cycle += 1
+                if op == "rep":
+                    log(s, "pu[*]", "rep_accumulate", None, rep_sum(lanes, spec)[0].item())
+                else:
+                    survivor = lanes[0, fold_argmin(np.abs(lanes[0]))]
+                    log(s, "pu[*]", "spc_compare", None, survivor.item())
+            if op == "spc":
+                # One more cycle walks the parity through the PTU chain; the
+                # repair flips a bit exactly when the parity check fails.
+                cycle += 1
+                parity = int((out[0] != hard_decision(frame0[0])).any())
+                log(0, "ptu[*]", "ptu_route", parity, None)
 
-
-def rep_hw_decode(tree, alpha, trace_rows=None, start_cycle=0):
-    """Repetition decode on the adder tree, saturating at every level.
-
-    Returns ``(beta, cycles)``; the node of length ``2**m`` costs ``m``.
-    """
-    a = np.asarray(alpha)
-    arr = a if a.ndim == 2 else a[None, :]
-    size = arr.shape[1]
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"repetition node length must be a power of 2 >= 2, got {size}")
-    if size > tree.N:
-        raise ValueError("node is wider than the processing tree")
-    m = size.bit_length() - 1
-    total = arr
-    cycles = 0
-    for layer in range(m - 1, -1, -1):
-        half = 1 << layer
-        total = sat_add(total[:, :half], total[:, half:], tree.spec)
-        cycles += 1
-        _trace(trace_rows, start_cycle + cycles, layer, "pu[*]", "rep_accumulate",
-               None, _scalarize(total))
-    bit = hard_decision(total[:, 0])
-    beta = np.repeat(bit[:, None], size, axis=1).astype(np.uint8)
-    beta = beta if a.ndim == 2 else beta[0]
-    return beta, cycles
+    return hook
 
 
 @dataclass
@@ -243,78 +136,19 @@ def hw_decode_frame(tree, code, llr, trace=False):
     -------
     HwDecodeResult
         ``u_hat`` is bit-identical to quantized
-        ``fast_ssc_decode(..., tie_mode="hardware")``; ``cycle_trace`` totals
-        equal :func:`fastssc.fast.latency_model`.
+        ``fast_ssc_decode(..., tie_mode="hardware")``; ``cycle_trace`` is the
+        :func:`fastssc.fast.latency_model` schedule of ``code``.
     """
     if code.N > tree.N:
         raise ValueError(f"code length {code.N} exceeds tree width {tree.N}")
-    spec = tree.spec
-    alpha, single = prepare_llr(llr, code.N, spec)
-    batch = alpha.shape[0]
-    u_hat = np.zeros((batch, code.N), dtype=np.uint8)
-    report = ScheduleReport(N=code.N)
-    rows = [] if trace else None
-    regs = {}
-    cycle = [0]
-
-    def emit(node, beta):
-        u_hat[:, node.offset : node.offset + node.size] = polar_transform(beta)
-        return beta
-
-    def visit(node, a):
-        start = cycle[0]
-        if node.kind is NodeKind.BRANCH:
-            layer = node.stage - 1
-            half = node.size // 2
-            near, far = a[:, half:], a[:, :half]
-            # One cycle computes the min-sum outputs and banks both update
-            # candidates, so the post-partial-sum select is free.
-            sign = hard_decision(far) ^ hard_decision(near)
-            mag = np.minimum(np.abs(far), np.abs(near))
-            f_out = np.where(sign.astype(bool), -mag, mag)
-            regs[layer] = (sat_add(near, far, spec), sat_add(near, -far, spec))
-            cycle[0] += 1
-            _trace(rows, cycle[0], layer, "pu[*]", "f", None, _scalarize(f_out))
-            report.entries.append(ScheduleEntry(node.node_id, "branch", node.stage, node.offset, 1))
-            beta_l = visit(node.children[0], f_out)
-            reg_sum, reg_diff = regs[layer]
-            g_out = np.where(beta_l.astype(bool), reg_diff, reg_sum)
-            _trace(rows, cycle[0], layer, "pu[*]", "g_select", int(_scalarize(beta_l)), _scalarize(g_out))
-            beta_r = visit(node.children[1], g_out)
-            beta = np.concatenate([beta_l ^ beta_r, beta_r], axis=1)
-            return emit(node, beta)
-        if node.stage == 0:
-            # Leaf decisions are combinational: zero cycles.
-            if node.kind is NodeKind.RATE0:
-                beta = np.zeros((batch, 1), dtype=np.uint8)
-            else:
-                beta = hard_decision(a)
-            spent = 0
-        elif node.kind is NodeKind.RATE0:
-            beta = np.zeros((batch, node.size), dtype=np.uint8)
-            cycle[0] += 1
-            spent = 1
-            _trace(rows, cycle[0], node.stage - 1, "psg", "rate0", None, 0)
-        elif node.kind is NodeKind.RATE1:
-            beta = hard_decision(a)
-            cycle[0] += 1
-            spent = 1
-            _trace(rows, cycle[0], node.stage - 1, "pu[*]", "rate1", None, None)
-        elif node.kind is NodeKind.SPC:
-            beta, spent = spc_hw_decode(tree, a, rows, cycle[0])
-            cycle[0] += spent
-        else:
-            beta, spent = rep_hw_decode(tree, a, rows, cycle[0])
-            cycle[0] += spent
-        report.entries.append(
-            ScheduleEntry(node.node_id, node.kind.value, node.stage, node.offset, spent)
-        )
-        return emit(node, beta)
-
-    x_hat = visit(classified(code), alpha)
+    alpha, single = prepare_llr(llr, code.N, tree.spec)
+    rows = []
+    hook = _tracer(rows, tree.spec) if trace else None
+    result = _walk(code, alpha, tree.spec, "hardware", hook)
+    u_hat, x_hat = result.u_hat, result.x_hat
     if single:
         u_hat, x_hat = u_hat[0], x_hat[0]
-    return HwDecodeResult(u_hat, x_hat, report, rows or [])
+    return HwDecodeResult(u_hat, x_hat, latency_model(classified(code)), rows)
 
 
 def write_trace_jsonl(path, result):

@@ -71,7 +71,7 @@ def quantize_channel(llr, spec):
     """Quantize float channel LLRs to raw integers.
 
     Rounds half away from zero to ``F`` fraction bits, then saturates to the
-    symmetric ``C``-bit range.
+    symmetric ``C``-bit range; infinities saturate, NaN is rejected.
 
     Parameters
     ----------
@@ -85,9 +85,11 @@ def quantize_channel(llr, spec):
         Raw integers encoding value * 2**F.
     """
     x = np.asarray(llr, dtype=np.float64)
-    mag = np.floor(np.abs(x) * spec.scale + 0.5)
-    raw = np.where(x < 0, -mag, mag)
-    return saturate(raw.astype(np.int64), spec.channel_bits)
+    if np.isnan(x).any():
+        raise ValueError("channel LLRs contain NaN")
+    # Clip while still in float: casting first would wrap inf and huge values.
+    mag = np.minimum(np.floor(np.abs(x) * spec.scale + 0.5), spec.channel_limit)
+    return np.where(x < 0, -mag, mag).astype(np.int64)
 
 
 def dequantize(raw, spec):

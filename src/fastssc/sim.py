@@ -158,6 +158,8 @@ def _run_chunk(code, decode, cfg, first_frame, count):
 def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
               stop=StopRule(), batch=2048, workers=None):
     """Simulate one Eb/N0 point until the stop rule fires."""
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     decode = make_decoder(code, decoder, quant, tie_mode)
     n_workers = resolve_workers(workers)
     stats = TrialStats(info_bits_per_frame=code.K)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastssc import construct_code, read_frozen_file
-from fastssc.cli import main
+from fastssc.cli import main, parse_ebn0
 
 
 def run_cli(capsys, *args):
@@ -92,6 +92,19 @@ def test_ber_ebn0_range_syntax(capsys):
                          "--min-frame-errors", "2", "--max-frames", "200")
     assert rc == 0
     assert out.count("ebn0_db=") == 3
+
+
+@pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan"])
+def test_parse_ebn0_rejects_bad_ranges(bad):
+    with pytest.raises(ValueError):
+        parse_ebn0(bad)
+
+
+@pytest.mark.parametrize("extra", [("--ebn0", "1:2:0"), ("--ebn0", "2", "--batch", "0")])
+def test_ber_bad_sweep_exits_one(capsys, extra):
+    rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
+    assert rc == 1
+    assert err.startswith("error:")
 
 
 def test_quantized_ber_smoke(capsys):

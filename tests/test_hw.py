@@ -5,79 +5,18 @@ import pytest
 
 from fastssc import (
     PolarCode,
-    PtuIo,
-    PuState,
     PuTree,
     QuantSpec,
     classified,
     construct_code,
-    f_min_sum,
     fast_ssc_decode,
     hw_decode_frame,
     latency_model,
-    ptu_route,
-    pu_cycle,
-    rep_hw_decode,
-    spc_hw_decode,
     write_trace_jsonl,
 )
-from conftest import noisy_int_llr, random_code
+from conftest import DATA_DIR, noisy_int_llr, random_code
 
 SPEC = QuantSpec(4, 5, 0)
-
-
-def test_ptu_route_truth_table():
-    for pcb in (0, 1):
-        for ss in (0, 1):
-            out = ptu_route(PtuIo(pcb=pcb, ss=ss))
-            assert out.o1 == (pcb & (1 - ss))
-            assert out.o2 == (pcb & ss)
-
-
-def test_pu_cycle_f_mode_matches_min_sum(rng):
-    a = rng.integers(-15, 16, size=200)
-    b = rng.integers(-15, 16, size=200)
-    out, state = pu_cycle(PuState(0, 0, 0), a, b, "f", SPEC)
-    assert (out == f_min_sum(a, b)).all()
-
-
-def test_pu_cycle_f_mode_exhaustive_sign_magnitude():
-    # every 5-bit operand pair: the sign/magnitude datapath equals min-sum
-    vals = np.arange(-15, 16)
-    a, b = np.meshgrid(vals, vals, indexing="ij")
-    out, _ = pu_cycle(PuState(0, 0, 0), a.ravel(), b.ravel(), "f", SPEC)
-    assert (out == f_min_sum(a.ravel(), b.ravel())).all()
-
-
-def test_pu_cycle_precomputes_both_g_candidates():
-    _, state = pu_cycle(PuState(0, 0, 0), np.array([3]), np.array([-14]), "f", SPEC)
-    # registers hold near+far and near-far, saturated to the internal width
-    assert state.reg_sum.tolist() == [-11]
-    assert state.reg_diff.tolist() == [-15]  # -14 - 3 = -17 clips
-    picked0, _ = pu_cycle(state, None, None, "g_select", SPEC, partial_sum=np.array([0]))
-    picked1, _ = pu_cycle(state, None, None, "g_select", SPEC, partial_sum=np.array([1]))
-    assert picked0.tolist() == [-11]
-    assert picked1.tolist() == [-15]
-
-
-def test_pu_cycle_spc_compare_forwards_survivor():
-    out, state = pu_cycle(PuState(0, 0, 0), np.array([-3]), np.array([2]), "spc_compare", SPEC)
-    assert out.tolist() == [2]
-    assert state.cmp_flag.tolist() == [1]
-    # tie keeps the first input
-    out, state = pu_cycle(PuState(0, 0, 0), np.array([-2]), np.array([2]), "spc_compare", SPEC)
-    assert out.tolist() == [-2]
-    assert state.cmp_flag.tolist() == [0]
-
-
-def test_pu_cycle_rep_accumulate_saturates():
-    out, _ = pu_cycle(PuState(0, 0, 0), np.array([14]), np.array([14]), "rep_accumulate", SPEC)
-    assert out.tolist() == [15]
-
-
-def test_pu_cycle_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        pu_cycle(PuState(0, 0, 0), np.array([1]), np.array([1]), "h", SPEC)
 
 
 def test_pu_tree_counts():
@@ -85,53 +24,6 @@ def test_pu_tree_counts():
     assert tree.pu_counts == {0: 1, 1: 2, 2: 4, 3: 8}
     assert tree.total_pus == 15
     assert PuTree(1024, SPEC).total_pus == 1023
-
-
-def test_spc_hw_hand_worked():
-    tree = PuTree(8, SPEC)
-    beta, cycles = spc_hw_decode(tree, np.array([[1, 2, 3, -4]]))
-    assert beta.tolist() == [[1, 0, 0, 1]]
-    assert cycles == 3
-
-
-def test_spc_hw_even_parity_passes_through():
-    tree = PuTree(8, SPEC)
-    beta, cycles = spc_hw_decode(tree, np.array([[1, -2, -3, 4]]))
-    assert beta.tolist() == [[0, 1, 1, 0]]
-    assert cycles == 3
-
-
-def test_spc_hw_matches_shortcut_everywhere(rng):
-    from fastssc.fast import decode_spc
-
-    tree = PuTree(64, SPEC)
-    for size in (4, 8, 16, 32):
-        alphas = rng.integers(-7, 8, size=(500, size))
-        beta, cycles = spc_hw_decode(tree, alphas)
-        assert cycles == int(np.log2(size)) + 1
-        assert (beta == decode_spc(alphas)).all()
-
-
-def test_spc_hw_rejects_small_or_oversized():
-    tree = PuTree(8, SPEC)
-    with pytest.raises(ValueError):
-        spc_hw_decode(tree, np.zeros((1, 2), dtype=np.int64))
-    with pytest.raises(ValueError):
-        spc_hw_decode(tree, np.zeros((1, 16), dtype=np.int64))
-
-
-def test_rep_hw_values_and_cycles(rng):
-    from fastssc.fast import decode_rep
-
-    tree = PuTree(64, SPEC)
-    beta, cycles = rep_hw_decode(tree, np.array([[3, -4]]))
-    assert beta.tolist() == [[1, 1]]
-    assert cycles == 1
-    for size in (2, 4, 8, 16):
-        alphas = rng.integers(-15, 16, size=(300, size))
-        beta, cycles = rep_hw_decode(tree, alphas)
-        assert cycles == int(np.log2(size))
-        assert (beta == decode_rep(alphas, SPEC)).all()
 
 
 def test_hw_decode_matches_fast_hardware_mode(rng):
@@ -190,3 +82,33 @@ def test_hw_requires_matching_tree_size(rng):
     tree = PuTree(16, SPEC)
     with pytest.raises(ValueError):
         hw_decode_frame(tree, code, np.zeros((1, 32), dtype=np.int64))
+
+
+GOLDEN_CODES = {
+    # every node kind; frame 0 has a parity repair and a comparator tie that
+    # the fold order decides
+    "trace_ga64_32": construct_code(64, 32, 2.0),
+    # nothing prunes: branches all the way down to single-bit leaves
+    "trace_alt16": PolarCode.from_frozen_mask(np.tile([False, True], 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CODES))
+def test_hw_trace_matches_golden(tmp_path, name):
+    code = GOLDEN_CODES[name]
+    llr = np.loadtxt(DATA_DIR / f"{name}.llr", dtype=np.int64, ndmin=2)
+    hw = hw_decode_frame(PuTree(code.N, SPEC), code, llr, trace=True)
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(path, hw)
+    assert path.read_text() == (DATA_DIR / f"{name}.jsonl").read_text()
+
+
+def test_hw_trace_covers_every_cycle(rng):
+    codes = [random_code(2 ** int(rng.integers(1, 9)), rng) for _ in range(60)]
+    codes += [construct_code(1024, 512, 2.0), construct_code(1024, 870, 2.0)]
+    for code in codes:
+        N = code.N
+        _, llr = noisy_int_llr(code, rng, frames=2)
+        hw = hw_decode_frame(PuTree(N, SPEC), code, llr, trace=True)
+        total = latency_model(classified(code)).total_cycles
+        assert {row["cycle"] for row in hw.trace_rows} == set(range(1, total + 1))

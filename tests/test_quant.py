@@ -51,6 +51,23 @@ def test_quantize_saturates_at_channel_limit():
     assert vals.dtype == np.int64
 
 
+def test_quantize_saturates_extreme_values():
+    spec = QuantSpec(4, 5, 0)
+    x = np.array([np.inf, 1e30, 9.3e18, 1e300, np.finfo(float).max])
+    assert quantize_channel(x, spec).tolist() == [7] * 5
+    assert quantize_channel(-x, spec).tolist() == [-7] * 5
+    with pytest.raises(ValueError, match="NaN"):
+        quantize_channel(np.array([np.inf, -np.inf, np.nan, 1e30]), spec)
+
+
+@given(st.floats(allow_nan=False))
+def test_quantize_is_sign_symmetric(x):
+    spec = QuantSpec(4, 5, 0)
+    q = quantize_channel(x, spec)
+    assert quantize_channel(-x, spec) == -q
+    assert abs(q) <= spec.channel_limit
+
+
 def test_dequantize_inverts_on_grid():
     spec = QuantSpec(4, 6, 1)
     raw = np.arange(-7, 8)

@@ -83,6 +83,13 @@ def test_run_point_deterministic_across_workers():
     assert (a.frames, a.bit_errors, a.frame_errors) == (b.frames, b.bit_errors, b.frame_errors)
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_run_point_rejects_empty_batch(batch):
+    code = construct_code(16, 8, 2.0)
+    with pytest.raises(ValueError, match="batch"):
+        run_point(code, ChannelConfig(1.0, code.rate), stop=StopRule(1, 10), batch=batch)
+
+
 def test_different_seeds_differ():
     code = construct_code(32, 16, 2.0)
     stop = StopRule(10**9, 300)
