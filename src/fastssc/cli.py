@@ -30,6 +30,9 @@ def _resolve_code(args):
     return core.construct_code(args.n, args.k, args.design_snr, method=args.method)
 
 
+MAX_RANGE_POINTS = 1000
+
+
 def parse_ebn0(text):
     """Eb/N0 points in dB from a comma list of values and ``lo:hi:step`` ranges."""
     pts = []
@@ -39,6 +42,8 @@ def parse_ebn0(text):
             lo, hi, step = (float(t) for t in token.split(":"))
             if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0:
                 raise ValueError(f"Eb/N0 range {token!r} needs finite bounds and a step > 0")
+            if (hi - lo) / step >= MAX_RANGE_POINTS:
+                raise ValueError(f"Eb/N0 range {token!r} has more than {MAX_RANGE_POINTS} points")
             v = lo
             while v <= hi + 1e-9:
                 pts.append(round(v, 6))

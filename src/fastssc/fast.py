@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,26 +200,19 @@ def _spc_tie_risk(alpha):
     return dup | (mags[..., 0] == 0)
 
 
-def _subcode(code, node):
-    cache = getattr(code, "_subcode_cache", None)
-    if cache is None:
-        cache = {}
-        code._subcode_cache = cache
-    sub = cache.get(node.node_id)
-    if sub is None:
-        mask = code.frozen[node.offset : node.offset + node.size]
-        sub = PolarCode.from_frozen_mask(mask)
-        cache[node.node_id] = sub
-    return sub
+def _plan(code):
+    """Classified tree and immutable precompute schedule, cached on the code."""
+    plan = getattr(code, "_decode_plan", None)
+    if plan is None:
+        tree = classify_tree(code)
+        plan = (tree, latency_model(tree))
+        code._decode_plan = plan
+    return plan
 
 
 def classified(code):
     """Classified tree for a code, cached on the code object."""
-    tree = getattr(code, "_decode_tree", None)
-    if tree is None:
-        tree = classify_tree(code)
-        code._decode_tree = tree
-    return tree
+    return _plan(code)[0]
 
 
 def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
@@ -287,8 +280,8 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
         if tie_mode == "exact" and node.kind in (NodeKind.RATE1, NodeKind.SPC):
             risk = _rate1_tie_risk(a) if node.kind is NodeKind.RATE1 else _spc_tie_risk(a)
             if risk.any():
-                sub = sc_decode(_subcode(code, node), a[risk], spec)
-                beta[risk] = sub.x_hat
+                mask = code.frozen[node.offset : node.offset + node.size]
+                beta[risk] = sc_decode(PolarCode.from_frozen_mask(mask), a[risk], spec).x_hat
         if hook:
             hook(node, node.kind.value, a, beta)
         return beta
@@ -297,7 +290,7 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
     return DecodeResult(polar_transform(x_hat), x_hat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleEntry:
     """One visited node of the decode schedule and its cycle cost."""
 
@@ -308,12 +301,12 @@ class ScheduleEntry:
     cycles: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleReport:
-    """Cycle accounting for one decode of one code."""
+    """Cycle accounting for one decode of one code, nodes in visit order."""
 
     N: int
-    entries: list = field(default_factory=list)
+    entries: tuple = ()
 
     @property
     def total_cycles(self):
@@ -344,22 +337,21 @@ def node_cycles(node, precompute=True):
 def latency_model(tree, precompute=True):
     """Static cycle count of the pruned schedule.
 
-    Walks the classified tree in decode order and sums per-node costs; the
-    cycle-level datapath model reports this schedule and traces its cycles.
+    Walks the classified tree in decode order and charges each node its
+    :func:`node_cycles`; the cycle-level datapath model clocks its trace from
+    this schedule.
     """
-    report = ScheduleReport(N=1 << tree.stage)
+    entries = []
     def walk(node):
-        report.entries.append(
-            ScheduleEntry(node.node_id, node.kind.value, node.stage, node.offset,
-                          node_cycles(node, precompute))
-        )
+        entries.append(ScheduleEntry(node.node_id, node.kind.value, node.stage,
+                                     node.offset, node_cycles(node, precompute)))
         for child in node.children:
             walk(child)
     walk(tree)
-    return report
+    return ScheduleReport(1 << tree.stage, tuple(entries))
 
 
-def latency_reduction_sweep(N, rates, design_snr_db, method="ga", precompute=True):
+def latency_reduction_sweep(N, rates, design_snr_db):
     """Pruned-schedule latency across code rates.
 
     For each rate, constructs an (N, round(rate * N)) code and reports the
@@ -371,8 +363,7 @@ def latency_reduction_sweep(N, rates, design_snr_db, method="ga", precompute=Tru
     rows = []
     for rate in rates:
         K = int(np.floor(rate * N + 0.5))
-        code = construct_code(N, K, design_snr_db, method=method)
-        total = latency_model(classified(code), precompute).total_cycles
+        total = latency_model(classify_tree(construct_code(N, K, design_snr_db))).total_cycles
         rows.append({
             "rate": rate,
             "K": K,

@@ -19,8 +19,8 @@ Constituent codes run on the same units and schedule as regular nodes, so the
 model is the pruned decode walk of :mod:`fastssc.fast` in hardware tie mode,
 in the tree's saturating fixed point.  Outputs are therefore bit-identical to
 ``fast_ssc_decode(..., tie_mode="hardware")``; every visited node spends the
-cycles of :func:`fastssc.fast.latency_model`, and the per-cycle trace of the
-first frame can be exported as JSON lines.
+cycles of its entry in the code's :func:`fastssc.fast.latency_model` schedule,
+which also clocks the first frame's per-cycle trace (exportable as JSON lines).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import ScheduleReport, _walk, classified, fold_argmin, latency_model, rep_sum
+from .fast import ScheduleReport, _plan, _walk, fold_argmin, rep_sum
 from .quant import QuantSpec
 from .reference import hard_decision, prepare_llr
 
@@ -42,15 +42,7 @@ class PuTree:
         if N < 2 or N & (N - 1):
             raise ValueError(f"N must be a power of 2 >= 2, got {N}")
         self.N = N
-        self.n = N.bit_length() - 1
         self.spec = spec
-        # Layer s serves the updates of stage-(s+1) subtrees with 2**s units;
-        # layer 0 is the single reduced unit.
-        self.pu_counts = {s: 1 << s for s in range(self.n)}
-
-    @property
-    def total_pus(self):
-        return self.N - 1
 
 
 def _scalarize(arr):
@@ -58,51 +50,59 @@ def _scalarize(arr):
     return a.reshape(-1)[0].item()
 
 
-def _tracer(rows, spec):
-    """Walk hook that logs the first frame's datapath, one row per cycle."""
+def _tracer(rows, spec, schedule):
+    """Walk hook that logs the first frame's datapath, clocked by the schedule.
+
+    The walk visits nodes in preorder, the order the schedule lists them, so
+    each node takes the next entry and its rows fill that entry's cycles.
+    """
+    entries = iter(schedule.entries)
     cycle = 0
 
-    def log(stage, unit, op, ins, out):
-        rows.append({"cycle": cycle, "stage": stage, "unit": unit, "op": op,
+    def log(at, stage, unit, op, ins, out):
+        rows.append({"cycle": at, "stage": stage, "unit": unit, "op": op,
                      "in": ins, "out": out})
 
     def hook(node, op, inp, out):
         nonlocal cycle
         layer = node.stage - 1
-        if op == "f":
-            # One cycle computes the min-sum outputs and banks both update
-            # candidates, so the post-partial-sum select is free.
-            cycle += 1
-            log(layer, "pu[*]", "f", None, _scalarize(out))
-        elif op == "g":
-            log(layer, "pu[*]", "g_select", int(_scalarize(inp)), _scalarize(out))
-        elif node.stage == 0:
-            pass  # leaf decisions are combinational: zero cycles
+        if op == "g":
+            # Both update candidates were banked in the f cycle, so the
+            # select lands in the left child's last cycle.
+            log(cycle, layer, "pu[*]", "g_select", _scalarize(inp), _scalarize(out))
+            return
+        entry = next(entries)
+        assert entry.node == node.node_id, "walk and schedule disagree on visit order"
+        if node.stage == 0:
+            steps = []  # single-bit decisions fall out of the parent's update
+        elif op == "f":
+            steps = [(layer, "pu[*]", "f", None, _scalarize(out))]
         elif op == "rate0":
-            cycle += 1
-            log(layer, "psg", "rate0", None, 0)
+            steps = [(layer, "psg", "rate0", None, 0)]
         elif op == "rate1":
-            cycle += 1
-            log(layer, "pu[*]", "rate1", None, None)
+            steps = [(layer, "pu[*]", "rate1", None, None)]
         else:
             # The SPC comparator tree and the REP adder tree halve the lanes
-            # once per cycle.  After the round that leaves 2**s lanes, lane 0
+            # once per round.  After the round that leaves 2**s lanes, lane 0
             # has combined every (2**s)-th input, in the kernel's own order.
             frame0 = inp[:1]
+            steps = []
             for s in range(layer, -1, -1):
                 lanes = frame0[:, :: 1 << s]
-                cycle += 1
                 if op == "rep":
-                    log(s, "pu[*]", "rep_accumulate", None, rep_sum(lanes, spec)[0].item())
+                    steps.append((s, "pu[*]", "rep_accumulate", None, rep_sum(lanes, spec)[0].item()))
                 else:
                     survivor = lanes[0, fold_argmin(np.abs(lanes[0]))]
-                    log(s, "pu[*]", "spc_compare", None, survivor.item())
+                    steps.append((s, "pu[*]", "spc_compare", None, survivor.item()))
             if op == "spc":
-                # One more cycle walks the parity through the PTU chain; the
-                # repair flips a bit exactly when the parity check fails.
-                cycle += 1
+                # The parity then walks the PTU chain; the repair flips a bit
+                # exactly when the parity check fails.
                 parity = int((out[0] != hard_decision(frame0[0])).any())
-                log(0, "ptu[*]", "ptu_route", parity, None)
+                steps.append((0, "ptu[*]", "ptu_route", parity, None))
+        clock = range(cycle + 1, cycle + entry.cycles + 1)
+        for c, step in zip(clock, steps, strict=True):
+            log(c, *step)
+        cycle += entry.cycles
 
     return hook
 
@@ -137,18 +137,19 @@ def hw_decode_frame(tree, code, llr, trace=False):
     HwDecodeResult
         ``u_hat`` is bit-identical to quantized
         ``fast_ssc_decode(..., tie_mode="hardware")``; ``cycle_trace`` is the
-        :func:`fastssc.fast.latency_model` schedule of ``code``.
+        code's cached :func:`fastssc.fast.latency_model` schedule.
     """
     if code.N > tree.N:
         raise ValueError(f"code length {code.N} exceeds tree width {tree.N}")
     alpha, single = prepare_llr(llr, code.N, tree.spec)
+    schedule = _plan(code)[1]
     rows = []
-    hook = _tracer(rows, tree.spec) if trace else None
+    hook = _tracer(rows, tree.spec, schedule) if trace else None
     result = _walk(code, alpha, tree.spec, "hardware", hook)
     u_hat, x_hat = result.u_hat, result.x_hat
     if single:
         u_hat, x_hat = u_hat[0], x_hat[0]
-    return HwDecodeResult(u_hat, x_hat, latency_model(classified(code)), rows)
+    return HwDecodeResult(u_hat, x_hat, schedule, rows)
 
 
 def write_trace_jsonl(path, result):

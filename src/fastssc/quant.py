@@ -23,10 +23,11 @@ class QuantSpec:
 
     def __post_init__(self):
         c, l, f = self.channel_bits, self.internal_bits, self.fraction_bits
-        # L is allowed up to 64 so that a wide spec can emulate unquantized
-        # arithmetic; practical datapath layouts use L <= 16.
-        if not (1 <= c <= l <= 64):
-            raise ValueError(f"need 1 <= C <= L <= 64, got C={c}, L={l}")
+        # Wide specs emulate unquantized arithmetic (datapaths use L <= 16).
+        # Raw values are int64: L <= 63 keeps in-range sums from wrapping, and
+        # C <= 54 keeps the channel limit exact in float64, where it clips.
+        if not (1 <= c <= l <= 63 and c <= 54):
+            raise ValueError(f"need 1 <= C <= L <= 63 and C <= 54, got C={c}, L={l}")
         if not (0 <= f < c):
             raise ValueError(f"need 0 <= F < C, got F={f}, C={c}")
 

@@ -74,8 +74,9 @@ def prepare_llr(llr, N, spec=None):
     """Normalize decoder input to a 2-D (batch, N) array.
 
     Returns the array plus a flag telling whether the input was a single frame.
-    Float input is channel-quantized when a spec is given; integer input is
-    assumed to be raw quantized values already and is only range-checked.
+    Without a spec the LLRs must be finite.  Float input is channel-quantized
+    when a spec is given; integer input is assumed to be raw quantized values
+    already and is only range-checked.
     """
     arr = np.asarray(llr)
     if arr.ndim == 1:
@@ -89,6 +90,8 @@ def prepare_llr(llr, N, spec=None):
         raise ValueError(f"LLR frame length must be {N}, got {arr.shape[1]}")
     if spec is None:
         arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("LLRs must be finite (no NaN or inf)")
     elif np.issubdtype(arr.dtype, np.integer):
         arr = validate_quantized(arr, spec)
     else:

@@ -4,7 +4,7 @@ Reproducibility contract: frame ``i`` of a run draws its message bits and its
 noise from a counter-based Philox generator keyed ``(seed, i)``.  Results are
 therefore identical no matter how frames are batched or spread across
 workers.  The worker count defaults to the ``FASTSSC_THREADS`` environment
-variable (serial when unset).
+variable (serial when unset) and never exceeds the number of CPUs.
 """
 
 from __future__ import annotations
@@ -96,23 +96,16 @@ def draw_messages_and_noise(cfg, K, N, first_frame, count):
     return msgs, noise
 
 
-def awgn_llr(codeword, cfg, noise=None, frame_index=0):
+def awgn_llr(codeword, cfg, noise):
     """Channel LLRs of BPSK codeword bits over AWGN.
 
     Bit 0 maps to +1, bit 1 to -1; the LLR of received sample y is
-    ``2 y / noise_var``, positive favouring bit 0.  When ``noise`` is not
-    supplied it is drawn from the Philox stream of ``(cfg.seed, frame_index)``.
+    ``2 y / noise_var``, positive favouring bit 0.  ``noise`` is the frames'
+    unit-variance draw from :func:`draw_messages_and_noise`.
     """
     bits = np.asarray(codeword, dtype=np.uint8)
     symbols = 1.0 - 2.0 * bits.astype(np.float64)
     var = cfg.noise_var
-    if noise is None:
-        arr = bits if bits.ndim == 2 else bits[None, :]
-        count, N = arr.shape
-        noise = np.stack([
-            _frame_rng(cfg.seed, frame_index + i).standard_normal(N) for i in range(count)
-        ])
-        noise = noise if bits.ndim == 2 else noise[0]
     received = symbols + np.sqrt(var) * np.asarray(noise)
     return 2.0 * received / var
 
@@ -132,13 +125,13 @@ def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
 
 
 def resolve_workers(workers=None):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FASTSSC_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """``workers``, else ``FASTSSC_THREADS``, else 1; clamped to 1..CPU count."""
+    if workers is None:
+        try:
+            workers = int(os.environ.get("FASTSSC_THREADS", ""))
+        except ValueError:
+            workers = 1
+    return max(1, min(int(workers), os.cpu_count() or 1))
 
 
 def _run_chunk(code, decode, cfg, first_frame, count):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastssc import construct_code, read_frozen_file
-from fastssc.cli import main, parse_ebn0
+from fastssc.cli import MAX_RANGE_POINTS, main, parse_ebn0
 
 
 def run_cli(capsys, *args):
@@ -94,7 +94,8 @@ def test_ber_ebn0_range_syntax(capsys):
     assert out.count("ebn0_db=") == 3
 
 
-@pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan"])
+@pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan", "0:1:1e-6",
+                                 "0:1e300:1e-300"])
 def test_parse_ebn0_rejects_bad_ranges(bad):
     with pytest.raises(ValueError):
         parse_ebn0(bad)
@@ -105,6 +106,21 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_parse_ebn0_range_point_cap():
+    assert len(parse_ebn0(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        parse_ebn0(f"0:{MAX_RANGE_POINTS}:1")
+
+
+def test_decode_frame_file_rejects_nan(tmp_path, capsys):
+    path = tmp_path / "frames.txt"
+    path.write_text("1 2 nan 4 -1 -2 -3 -4\n")
+    rc, out, err = run_cli(capsys, "decode", "--n", "8", "--k", "4", "--frame-file", str(path))
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "u_hat" not in out
 
 
 def test_quantized_ber_smoke(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,13 +18,6 @@ from fastssc import (
 from conftest import DATA_DIR, noisy_int_llr, random_code
 
 SPEC = QuantSpec(4, 5, 0)
-
-
-def test_pu_tree_counts():
-    tree = PuTree(16, SPEC)
-    assert tree.pu_counts == {0: 1, 1: 2, 2: 4, 3: 8}
-    assert tree.total_pus == 15
-    assert PuTree(1024, SPEC).total_pus == 1023
 
 
 def test_hw_decode_matches_fast_hardware_mode(rng):
@@ -112,3 +106,28 @@ def test_hw_trace_covers_every_cycle(rng):
         hw = hw_decode_frame(PuTree(N, SPEC), code, llr, trace=True)
         total = latency_model(classified(code)).total_cycles
         assert {row["cycle"] for row in hw.trace_rows} == set(range(1, total + 1))
+
+
+def test_hw_schedule_is_built_once_and_immutable(rng):
+    code = construct_code(64, 32, 2.0)
+    tree = PuTree(64, SPEC)
+    _, llr = noisy_int_llr(code, rng, frames=3)
+    first = hw_decode_frame(tree, code, llr).cycle_trace
+    assert hw_decode_frame(tree, code, llr[:1], trace=True).cycle_trace is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.entries[0].cycles = 0
+    assert isinstance(first.entries, tuple)
+
+
+def test_decoding_caches_one_private_attribute(rng):
+    code = construct_code(64, 32, 2.0)
+    _, llr = noisy_int_llr(code, rng, frames=50)
+    fast_ssc_decode(code, llr.astype(np.float64))
+    # integer LLRs with repeated magnitudes send SPC and rate-1 nodes through
+    # the exact-mode re-decode
+    fast_ssc_decode(code, llr, SPEC, tie_mode="exact")
+    hw_decode_frame(PuTree(64, SPEC), code, llr, trace=True)
+    private = [name for name in vars(code) if name.startswith("_")]
+    assert len(private) <= 1

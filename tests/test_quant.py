@@ -26,7 +26,8 @@ def test_spec_string_rejects_garbage(bad):
         QuantSpec.from_string(bad)
 
 
-@pytest.mark.parametrize("c,l,f", [(0, 5, 0), (6, 5, 0), (4, 65, 0), (4, 5, 4), (4, 5, -1)])
+@pytest.mark.parametrize("c,l,f", [(0, 5, 0), (6, 5, 0), (4, 65, 0), (4, 5, 4), (4, 5, -1),
+                                   (4, 64, 0), (55, 63, 0)])
 def test_spec_rejects_bad_widths(c, l, f):
     with pytest.raises(ValueError):
         QuantSpec(c, l, f)
@@ -117,3 +118,20 @@ def test_sat_add_commutes_and_bounds(a, b):
     assert abs(r) <= spec.internal_limit
     if abs(a + b) <= spec.internal_limit:
         assert r == a + b
+
+
+@st.composite
+def specs(draw):
+    c = draw(st.integers(1, 54))
+    return QuantSpec(c, draw(st.integers(c, 63)), draw(st.integers(0, c - 1)))
+
+
+@given(specs(), st.data())
+def test_widest_specs_saturate_without_wrapping(spec, data):
+    lim = spec.channel_limit
+    q = quantize_channel(np.array([np.inf, -np.inf, 1e30, -1e30]), spec)
+    assert q.tolist() == [lim, -lim, lim, -lim]
+    wide = st.integers(-spec.internal_limit, spec.internal_limit)
+    a, b = data.draw(wide), data.draw(wide)
+    want = max(-spec.internal_limit, min(spec.internal_limit, a + b))
+    assert int(sat_add(a, b, spec)) == want

@@ -14,6 +14,7 @@ from fastssc import (
     sc_latency_cycles,
     two_bit_precomputed_cycles,
 )
+from fastssc.reference import prepare_llr
 from conftest import noisy_float_llr, noisy_int_llr, random_code
 from oracles import scalar_sc_decode
 
@@ -118,6 +119,17 @@ def test_sc_decode_rejects_bad_frame_length():
     code = construct_code(8, 4, 2.0)
     with pytest.raises(ValueError):
         sc_decode(code, np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decoders_reject_non_finite_float_llrs(bad):
+    code = construct_code(16, 8, 2.0)
+    llr = np.full(16, 2.0)
+    llr[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        prepare_llr(llr, 16)
+    with pytest.raises(ValueError, match="finite"):
+        sc_decode(code, np.stack([np.full(16, 2.0), llr]))
 
 
 def test_sc_decode_validates_quantized_inputs():
