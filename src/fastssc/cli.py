@@ -110,6 +110,8 @@ def _bits_str(bits):
 
 def cmd_decode(args):
     code = _resolve_code(args)
+    if args.trace and args.decoder != "hw":
+        raise ValueError("--trace is only available with --decoder hw")
     quant = QuantSpec.from_string(args.quant) if args.quant else None
     if args.decoder == "hw" and quant is None:
         quant = QuantSpec(4, 5, 0)
@@ -117,6 +119,8 @@ def cmd_decode(args):
         llr = _load_frames(args.frame_file, code.N)
         tx_msgs = None
     else:
+        if args.frames < 1:
+            raise ValueError(f"--frames must be >= 1, got {args.frames}")
         cfg = sim.ChannelConfig(args.ebn0, code.rate, args.seed)
         tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
         llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
@@ -126,17 +130,10 @@ def cmd_decode(args):
         if args.trace:
             hw.write_trace_jsonl(args.trace, result)
         print(f"cycles={result.cycle_trace.total_cycles}")
-    elif args.decoder == "sc":
-        if args.trace:
-            raise ValueError("--trace is only available with --decoder hw")
-        from .reference import sc_decode
-        result = sc_decode(code, llr, quant)
+        u_hat = result.u_hat
     else:
-        if args.trace:
-            raise ValueError("--trace is only available with --decoder hw")
-        result = fast.fast_ssc_decode(code, llr, quant, tie_mode=args.tie_mode)
-    u = np.atleast_2d(result.u_hat)
-    for i, row in enumerate(u):
+        u_hat = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)(llr)
+    for i, row in enumerate(u_hat):
         info = row[code.info_indices]
         print(f"frame={i} u_hat={_bits_str(row)}")
         print(f"frame={i} info={_bits_str(info)}")

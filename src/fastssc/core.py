@@ -9,6 +9,7 @@ the same butterfly maps ``u -> x`` and ``x -> u``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,9 @@ class PolarCode:
             raise ValueError(f"N must be a power of 2, got {self.N}")
         if not (1 <= self.K <= self.N):
             raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
-        self.frozen = np.asarray(self.frozen, dtype=bool)
+        # A private read-only copy: decoding caches the classified tree on the code.
+        self.frozen = np.array(self.frozen, dtype=bool)
+        self.frozen.flags.writeable = False
         if self.frozen.shape != (self.N,):
             raise ValueError("frozen mask length must equal N")
         if int((~self.frozen).sum()) != self.K:
@@ -63,6 +66,21 @@ class PolarCode:
         frozen = np.asarray(frozen, dtype=bool)
         k = int((~frozen).sum())
         return cls(len(frozen), k, frozen, construction or CodeConstruction("manual"))
+
+
+def db_to_linear(db):
+    """``10 ** (db / 10)``, or ValueError unless that is a positive normal float.
+
+    NaN and infinite dB values are rejected, and so are finite ones whose
+    power overflows or underflows.
+    """
+    try:
+        lin = 10.0 ** (db / 10.0)
+    except OverflowError:
+        lin = math.inf
+    if not sys.float_info.min <= lin <= sys.float_info.max:
+        raise ValueError(f"SNR {db!r} dB has no finite nonzero linear value")
+    return lin
 
 
 def _phi(x):
@@ -94,7 +112,7 @@ def _phi_inv(y):
 
 def _ga_means(N, rate, design_snr_db):
     """Per-position decision-LLR means from Gaussian-approximation evolution."""
-    ebn0 = 10.0 ** (design_snr_db / 10.0)
+    ebn0 = db_to_linear(design_snr_db)
     sigma_sq = 1.0 / (2.0 * rate * ebn0)
     mu = np.array([2.0 / sigma_sq])
     n = N.bit_length() - 1
@@ -107,7 +125,7 @@ def _ga_means(N, rate, design_snr_db):
 
 def _bhattacharyya_params(N, rate, design_snr_db):
     """Per-position Bhattacharyya bounds from the erasure-style recursion."""
-    ebn0 = 10.0 ** (design_snr_db / 10.0)
+    ebn0 = db_to_linear(design_snr_db)
     z = np.array([math.exp(-rate * ebn0)])
     n = N.bit_length() - 1
     for _ in range(n):

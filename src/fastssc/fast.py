@@ -120,7 +120,8 @@ def decode_rate1(alpha):
 
 
 def fold_argmin(mags):
-    """Index of the minimum as a strict-less comparator tree finds it.
+    """Per row of a (batch, size) block, the index of the minimum as a
+    strict-less comparator tree finds it.
 
     Each round compares the low half of the surviving lanes against the high
     half; the challenger wins only when strictly smaller.  With a unique
@@ -128,44 +129,36 @@ def fold_argmin(mags):
     depends on fold order, matching the comparator tree in the datapath
     model rather than a lowest-index scan.
     """
-    mags = np.asarray(mags)
-    vals = mags if mags.ndim == 2 else mags[None, :]
-    idx = np.broadcast_to(np.arange(vals.shape[1]), vals.shape).copy()
-    while vals.shape[1] > 1:
-        half = vals.shape[1] // 2
-        wins = vals[:, half:] < vals[:, :half]
-        vals = np.where(wins, vals[:, half:], vals[:, :half])
+    idx = np.broadcast_to(np.arange(mags.shape[1]), mags.shape)
+    while mags.shape[1] > 1:
+        half = mags.shape[1] // 2
+        wins = mags[:, half:] < mags[:, :half]
+        mags = np.where(wins, mags[:, half:], mags[:, :half])
         idx = np.where(wins, idx[:, half:], idx[:, :half])
-    return idx[0, 0] if mags.ndim == 1 else idx[:, 0]
+    return idx[:, 0]
 
 
 def decode_spc(alpha):
-    """Single-parity-check decode: thresholds plus a parity-repair flip.
+    """Single-parity-check decode of a (batch, size) block: thresholds plus a
+    parity-repair flip.
 
     The flipped position is the minimum |LLR|, found by fold_argmin so ties
     land where the comparator tree lands them.
     """
-    alpha = np.asarray(alpha)
     beta = hard_decision(alpha)
-    parity = np.bitwise_xor.reduce(beta, axis=-1)
-    weakest = fold_argmin(np.abs(alpha))
-    if alpha.ndim == 1:
-        beta[weakest] ^= parity
-    else:
-        rows = np.arange(alpha.shape[0])
-        beta[rows, weakest] ^= parity
+    parity = np.bitwise_xor.reduce(beta, axis=1)
+    beta[np.arange(len(beta)), fold_argmin(np.abs(alpha))] ^= parity
     return beta
 
 
 def decode_rep(alpha, spec=None):
-    """Repetition decode: the sign of the LLR sum, replicated.
+    """Repetition decode of a (batch, size) block: the sign of each row's LLR
+    sum, replicated.
 
     The sum comes from :func:`rep_sum`, in the order plain SC accumulates it.
     """
-    alpha = np.asarray(alpha)
-    bit = hard_decision(rep_sum(alpha if alpha.ndim == 2 else alpha[None, :], spec))
-    beta = np.repeat(bit[:, None], alpha.shape[-1], axis=1).astype(np.uint8)
-    return beta[0] if alpha.ndim == 1 else beta
+    bit = hard_decision(rep_sum(alpha, spec))
+    return np.repeat(bit[:, None], alpha.shape[1], axis=1)
 
 
 def rep_sum(alpha, spec=None):

@@ -45,11 +45,6 @@ class PuTree:
         self.spec = spec
 
 
-def _scalarize(arr):
-    a = np.asarray(arr)
-    return a.reshape(-1)[0].item()
-
-
 def _tracer(rows, spec, schedule):
     """Walk hook that logs the first frame's datapath, clocked by the schedule.
 
@@ -69,14 +64,14 @@ def _tracer(rows, spec, schedule):
         if op == "g":
             # Both update candidates were banked in the f cycle, so the
             # select lands in the left child's last cycle.
-            log(cycle, layer, "pu[*]", "g_select", _scalarize(inp), _scalarize(out))
+            log(cycle, layer, "pu[*]", "g_select", inp[0, 0].item(), out[0, 0].item())
             return
         entry = next(entries)
         assert entry.node == node.node_id, "walk and schedule disagree on visit order"
         if node.stage == 0:
             steps = []  # single-bit decisions fall out of the parent's update
         elif op == "f":
-            steps = [(layer, "pu[*]", "f", None, _scalarize(out))]
+            steps = [(layer, "pu[*]", "f", None, out[0, 0].item())]
         elif op == "rate0":
             steps = [(layer, "psg", "rate0", None, 0)]
         elif op == "rate1":
@@ -92,7 +87,7 @@ def _tracer(rows, spec, schedule):
                 if op == "rep":
                     steps.append((s, "pu[*]", "rep_accumulate", None, rep_sum(lanes, spec)[0].item()))
                 else:
-                    survivor = lanes[0, fold_argmin(np.abs(lanes[0]))]
+                    survivor = lanes[0, fold_argmin(np.abs(lanes))[0]]
                     steps.append((s, "pu[*]", "spc_compare", None, survivor.item()))
             if op == "spc":
                 # The parity then walks the PTU chain; the repair flips a bit

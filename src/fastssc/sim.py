@@ -9,15 +9,17 @@ variable (serial when unset) and never exceeds the number of CPUs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import encode
+from .core import db_to_linear, encode
 from .fast import fast_ssc_decode
 from .hw import PuTree, hw_decode_frame
 from .quant import QuantSpec
@@ -34,9 +36,12 @@ class ChannelConfig:
     rate: float
     seed: int = 0
 
+    def __post_init__(self):
+        db_to_linear(self.ebn0_db)
+
     @property
     def noise_var(self):
-        return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
+        return 1.0 / (2.0 * self.rate * db_to_linear(self.ebn0_db))
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,11 @@ class StopRule:
 
     min_frame_errors: int = 200
     max_frames: int = 10_000_000
+
+    def __post_init__(self):
+        if self.min_frame_errors < 1 or self.max_frames < 1:
+            raise ValueError("min_frame_errors and max_frames must be >= 1, got "
+                             f"{self.min_frame_errors} and {self.max_frames}")
 
 
 @dataclass
@@ -150,35 +160,24 @@ def _run_chunk(code, decode, cfg, first_frame, count):
 
 def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
               stop=StopRule(), batch=2048, workers=None):
-    """Simulate one Eb/N0 point until the stop rule fires."""
+    """Simulate one Eb/N0 point until the stop rule fires.
+
+    Each round decodes up to ``batch * workers`` frames in chunks of
+    ``batch``: inline at one worker, on a thread pool above one.
+    """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     decode = make_decoder(code, decoder, quant, tie_mode)
     n_workers = resolve_workers(workers)
     stats = TrialStats(info_bits_per_frame=code.K)
-    next_frame = 0
-    pool = ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else None
-    try:
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
         while stats.frame_errors < stop.min_frame_errors and stats.frames < stop.max_frames:
-            want = min(batch * n_workers, stop.max_frames - stats.frames)
-            chunks = []
-            lo = next_frame
-            while want > 0:
-                step = min(batch, want)
-                chunks.append((lo, step))
-                lo += step
-                want -= step
-            next_frame = lo
-            if pool is None:
-                results = [_run_chunk(code, decode, cfg, c0, c1) for c0, c1 in chunks]
-            else:
-                futures = [pool.submit(_run_chunk, code, decode, cfg, c0, c1) for c0, c1 in chunks]
-                results = [f.result() for f in futures]
-            for r in results:
+            end = min(stats.frames + batch * n_workers, stop.max_frames)
+            starts = range(stats.frames, end, batch)
+            counts = [min(batch, end - lo) for lo in starts]
+            for r in run(partial(_run_chunk, code, decode, cfg), starts, counts):
                 stats = stats.merge(r)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return stats
 
 

@@ -101,11 +101,29 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
         parse_ebn0(bad)
 
 
-@pytest.mark.parametrize("extra", [("--ebn0", "1:2:0"), ("--ebn0", "2", "--batch", "0")])
+@pytest.mark.parametrize("extra", [("--ebn0", "1:2:0"), ("--ebn0", "2", "--batch", "0"),
+                                   ("--ebn0", "2", "--max-frames", "0"),
+                                   ("--ebn0", "2", "--min-frame-errors", "0"),
+                                   ("--ebn0", "1e6"), ("--ebn0=-1e6",), ("--ebn0", "nan")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "--frames", "0"),
+    ("decode", "--ebn0", "1e6"),
+    ("construct", "--design-snr", "nan"),
+    ("construct", "--design-snr", "nan", "--method", "bhattacharyya"),
+    ("construct", "--design-snr", "inf"),
+    ("construct", "--design-snr", "1e6"),
+])
+def test_bad_input_exits_one_with_no_output(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--n", "16", "--k", "8")
+    assert rc == 1
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_parse_ebn0_range_point_cap():

@@ -6,6 +6,7 @@ from fastssc import (
     PolarCode,
     construct_code,
     encode,
+    fast_ssc_decode,
     frozen_file_text,
     polar_transform,
     read_frozen_file,
@@ -71,6 +72,23 @@ def test_code_validation():
         construct_code(16, 17, 2.0)
     with pytest.raises(ValueError):
         PolarCode(N=8, K=3, frozen=np.ones(8, dtype=bool), construction=None)
+    for method in ("ga", "bhattacharyya"):
+        for snr in (float("nan"), float("inf"), float("-inf"), 1e6, -1e6):
+            with pytest.raises(ValueError, match="SNR"):
+                construct_code(16, 8, snr, method=method)
+
+
+def test_frozen_mask_is_a_read_only_copy(rng):
+    for make in (lambda m: PolarCode(16, 8, m), PolarCode.from_frozen_mask):
+        mask = np.tile([True, False], 8)
+        code = make(mask)
+        mask[:2] = [False, True]
+        assert code.frozen[:2].tolist() == [True, False]
+    # decoding caches the classified tree, so the mask must not change under it
+    code = construct_code(16, 8, 2.0)
+    fast_ssc_decode(code, rng.normal(size=(4, 16)))
+    with pytest.raises(ValueError):
+        code.frozen[:] = np.tile([True, False], 8)
 
 
 def test_two_bit_code_freezes_the_weak_position():

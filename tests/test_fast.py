@@ -100,8 +100,8 @@ def test_fold_argmin_matches_argmin_when_unique(rng):
 def test_fold_argmin_tie_follows_comparator_order():
     # |a| = [3,1,1,1]: lanes 1 and 3 tie first (keep 1), lanes 0 and 2 pick 2,
     # then 1-vs-2 ties and the fold keeps the lane holding index 2.
-    assert fold_argmin(np.array([3, 1, 1, 1])) == 2
-    assert fold_argmin(np.array([0, 5, 0, 5])) == 0
+    assert fold_argmin(np.array([[3, 1, 1, 1]])).tolist() == [2]
+    assert fold_argmin(np.array([[0, 5, 0, 5]])).tolist() == [0]
 
 
 def test_decode_rate1_is_elementwise():
@@ -110,9 +110,9 @@ def test_decode_rate1_is_elementwise():
 
 def test_decode_spc_parity_and_flip():
     # parity already even: thresholds stand
-    assert decode_spc(np.array([1.0, -2.0, -3.0, 4.0])).tolist() == [0, 1, 1, 0]
+    assert decode_spc(np.array([[1.0, -2.0, -3.0, 4.0]])).tolist() == [[0, 1, 1, 0]]
     # parity odd: weakest position flips
-    assert decode_spc(np.array([1.0, 2.0, 3.0, -4.0])).tolist() == [1, 0, 0, 1]
+    assert decode_spc(np.array([[1.0, 2.0, 3.0, -4.0]])).tolist() == [[1, 0, 0, 1]]
 
 
 def test_decode_spc_is_ml_on_exhaustive_grid():

@@ -22,6 +22,9 @@ def test_noise_variance_formula():
     assert cfg.noise_var == pytest.approx(1.0)
     cfg = ChannelConfig(ebn0_db=3.0, rate=0.5)
     assert cfg.noise_var == pytest.approx(1.0 / 10 ** 0.3)
+    for ebn0 in (float("nan"), float("inf"), float("-inf"), 1e6, -1e6):
+        with pytest.raises(ValueError, match="SNR"):
+            ChannelConfig(ebn0, 0.5)
 
 
 def test_llr_scaling_statistics():
