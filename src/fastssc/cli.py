@@ -70,6 +70,9 @@ def cmd_construct(args):
 
 def cmd_schedule(args):
     code = _resolve_code(args)
+    if code.N < 2:
+        # N = 1 has no decode tree, and its 2N - 2 baseline is 0 cycles
+        raise ValueError(f"schedule needs N >= 2, got N={code.N}")
     report = fast.latency_model(fast.classified(code), precompute=not args.no_precompute)
     for e in report.entries:
         print(f"node={e.node:5d} kind={e.kind:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")

@@ -17,9 +17,13 @@ Everything else stays a ``BRANCH`` and recurses with the min-sum updates from
 Tie resolution
 --------------
 The shortcut rules match plain SC decoding whenever a node's LLRs contain no
-exact zeros and (for SPC) no repeated magnitudes.  On such tie events both
-answers are equally likely codewords, but they can differ bit-for-bit.  The
-composite decoder therefore supports two modes:
+exact zeros and, for an SPC node whose hard decisions fail the parity check,
+the minimum magnitude is unique.  With even parity SC keeps the hard
+decisions whatever the repeated magnitudes; with odd parity and a repeated
+minimum SC may repair a different copy of it than the comparator fold does
+(the proof is on ``_spc_tie_risk``).  On such tie events both answers are
+equally likely codewords, but they can differ bit-for-bit.  The composite
+decoder therefore supports two modes:
 
 * ``tie_mode="exact"`` (default): tie-risk frames are re-decoded node-locally
   with plain SC, so the output always equals :func:`fastssc.reference.sc_decode`.
@@ -33,6 +37,7 @@ frames hit them routinely, which is why the distinction exists at all.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -120,22 +125,32 @@ def decode_rate1(alpha):
 
 
 def fold_argmin(mags):
-    """Per row of a (batch, size) block, the index of the minimum as a
-    strict-less comparator tree finds it.
+    """Per row of a (batch, size) block, size a power of two, the index of
+    the minimum as a strict-less comparator tree finds it.
 
     Each round compares the low half of the surviving lanes against the high
     half; the challenger wins only when strictly smaller.  With a unique
     minimum this is the plain argmin.  On repeated minima the survivor
     depends on fold order, matching the comparator tree in the datapath
-    model rather than a lowest-index scan.
+    model rather than a lowest-index scan: the first round splits lanes on
+    the highest index bit and the last on the lowest, each keeping the lane
+    with a 0 bit on a tie, so the survivor is the minimum with the smallest
+    bit-reversed index.  That is a first-occurrence argmin over the lanes in
+    bit-reversed order.
     """
-    idx = np.broadcast_to(np.arange(mags.shape[1]), mags.shape)
-    while mags.shape[1] > 1:
-        half = mags.shape[1] // 2
-        wins = mags[:, half:] < mags[:, :half]
-        mags = np.where(wins, mags[:, half:], mags[:, :half])
-        idx = np.where(wins, idx[:, half:], idx[:, :half])
-    return idx[:, 0]
+    order = _bit_reversal(mags.shape[1])
+    return order[np.argmin(mags[:, order], axis=1)]
+
+
+@functools.cache
+def _bit_reversal(size):
+    """Indices 0..size-1 with their log2(size) bits reversed (an involution)."""
+    idx = np.arange(size)
+    rev = np.zeros(size, dtype=np.intp)
+    for bit in range(size.bit_length() - 1):
+        rev = (rev << 1) | ((idx >> bit) & 1)
+    rev.flags.writeable = False
+    return rev
 
 
 def decode_spc(alpha):
@@ -186,11 +201,36 @@ def _rate1_tie_risk(alpha):
 
 
 def _spc_tie_risk(alpha):
-    # Beyond zeros, any repeated magnitude can steer the implicit min search
-    # in plain SC away from the lowest-index argmin.  Conservative by design.
-    mags = np.sort(np.abs(alpha), axis=-1)
-    dup = (np.diff(mags, axis=-1) == 0).any(axis=-1)
-    return dup | (mags[..., 0] == 0)
+    """Rows of a (batch, size) SPC block that plain SC may decode differently.
+
+    A row is flagged when min|alpha| == 0, or when its hard-decision parity
+    is odd and the minimum magnitude occurs at least twice.  Every other row
+    decodes under plain SC exactly as :func:`decode_spc` decodes it.
+
+    Proof, by induction on the size.  Plain SC splits SPC(n) into SPC(n/2) on
+    the f outputs and rate-1(n/2) on the g outputs; SPC(1) is a frozen bit,
+    which decides 0, the parity-repaired hard decision of a nonzero LLR.
+
+    * With no zero, f(far, near) carries the XOR of its pair's signs and
+      min(|far|, |near|) > 0, so the f outputs have no zero and the same
+      parity as alpha.  Rate-1 on nonzero LLRs returns the hard decisions
+      (the same split with g = sign(near)(|near| + |far|) shows it).
+    * Even parity: the left SPC returns its hard decisions, so every g is
+      sign(near)(|near| + |far|) and the right child returns hard(near).  The
+      combined word is the hard decisions of alpha, whatever the ties.
+    * Odd parity, unique minimum: the pair holding the minimum has the
+      unique minimum of the f outputs, so the left SPC flips that pair's bit.
+      That pair's g is then +-||near| - |far|| > 0, signed by the larger
+      magnitude, so the right child flips exactly the minimum's lane, and
+      every other pair keeps its hard decisions.
+    * Saturation clips to +-internal_limit >= 1: it never zeroes a value and
+      never flips a sign.
+    """
+    mags = np.abs(alpha)
+    low = mags.min(axis=1, keepdims=True)
+    odd = np.count_nonzero(alpha < 0, axis=1) % 2 == 1
+    repeated = np.count_nonzero(mags == low, axis=1) > 1
+    return (low[:, 0] == 0) | (odd & repeated)
 
 
 def _plan(code):

@@ -9,6 +9,7 @@ A quantization scheme is written ``C,L,F``: channel LLRs are quantized to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +25,11 @@ class QuantSpec:
     def __post_init__(self):
         c, l, f = self.channel_bits, self.internal_bits, self.fraction_bits
         # Wide specs emulate unquantized arithmetic (datapaths use L <= 16).
-        # Raw values are int64: L <= 63 keeps in-range sums from wrapping, and
-        # C <= 54 keeps the channel limit exact in float64, where it clips.
-        if not (1 <= c <= l <= 63 and c <= 54):
-            raise ValueError(f"need 1 <= C <= L <= 63 and C <= 54, got C={c}, L={l}")
+        # C >= 2 leaves a nonzero channel limit (C = 1 quantizes every LLR to
+        # 0), L <= 63 keeps in-range sums from wrapping in int64, and C <= 54
+        # keeps the channel limit exact in float64, where it clips.
+        if not (2 <= c <= l <= 63 and c <= 54):
+            raise ValueError(f"need 2 <= C <= L <= 63 and C <= 54, got C={c}, L={l}")
         if not (0 <= f < c):
             raise ValueError(f"need 0 <= F < C, got F={f}, C={c}")
 
@@ -55,6 +57,12 @@ class QuantSpec:
     def internal_limit(self):
         """Largest raw integer representable in the internal datapath."""
         return (1 << (self.internal_bits - 1)) - 1
+
+    @cached_property
+    def word_dtype(self):
+        """Narrowest signed integer dtype that holds the sum of two L-bit words:
+        int8 for L <= 7, int16 for L <= 15, int32 for L <= 31, else int64."""
+        return np.min_scalar_type(-2 * self.internal_limit)
 
     @property
     def scale(self):
@@ -89,8 +97,14 @@ def quantize_channel(llr, spec):
     if np.isnan(x).any():
         raise ValueError("channel LLRs contain NaN")
     # Clip while still in float: casting first would wrap inf and huge values.
-    mag = np.minimum(np.floor(np.abs(x) * spec.scale + 0.5), spec.channel_limit)
-    return np.where(x < 0, -mag, mag).astype(np.int64)
+    # One buffer, updated in place (asarray keeps a 0-d input an array).
+    # copysign differs from a sign select only on zeros, which cast to 0.
+    mag = np.asarray(np.abs(x))
+    mag *= spec.scale
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.minimum(mag, spec.channel_limit, out=mag)
+    return np.copysign(mag, x, out=mag).astype(np.int64)
 
 
 def dequantize(raw, spec):
@@ -99,15 +113,25 @@ def dequantize(raw, spec):
 
 
 def sat_add(a, b, spec):
-    """Add raw integers and saturate to the internal ``L``-bit range."""
-    total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return saturate(total, spec.internal_bits)
+    """Add raw integers and saturate to the internal ``L``-bit range.
+
+    Operands are L-bit words, ``|x| <= spec.internal_limit``, so their sum
+    fits :attr:`QuantSpec.word_dtype`.  When both operands already have that
+    dtype the sum is taken in it; any other input (Python ints, int64, mixed
+    dtypes) is added in int64.
+    """
+    dtype = spec.word_dtype
+    if getattr(a, "dtype", None) != dtype or getattr(b, "dtype", None) != dtype:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+    return saturate(a + b, spec.internal_bits)
 
 
 def validate_quantized(llr, spec):
     """Check that raw values already lie in the internal range."""
     arr = np.asarray(llr)
     lim = spec.internal_limit
-    if arr.size and (np.abs(arr) > lim).any():
+    # Two comparisons, not abs: abs of the most negative narrow int wraps.
+    if arr.size and ((arr > lim) | (arr < -lim)).any():
         raise ValueError(f"quantized LLR outside +/-{lim} for spec {spec}")
     return arr.astype(np.int64)

@@ -83,3 +83,14 @@ def rep_ml_word(alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     n = alpha.shape[-1]
     return np.ones(n, dtype=np.uint8) if alpha.sum() < 0 else np.zeros(n, dtype=np.uint8)
+
+
+def comparator_fold_argmin(mags):
+    """Survivor of a strict-less comparator tree over one row: each round
+    pits lane j against lane j + half, and the high lane wins only when
+    strictly smaller."""
+    lanes = list(enumerate(mags))
+    while len(lanes) > 1:
+        half = len(lanes) // 2
+        lanes = [hi if hi[1] < lo[1] else lo for lo, hi in zip(lanes[:half], lanes[half:])]
+    return lanes[0][0]

@@ -118,9 +118,12 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     ("construct", "--design-snr", "nan", "--method", "bhattacharyya"),
     ("construct", "--design-snr", "inf"),
     ("construct", "--design-snr", "1e6"),
+    ("schedule", "--n", "1", "--k", "1"),
+    ("decode", "--decoder", "hw", "--quant", "1,1,0"),
 ])
 def test_bad_input_exits_one_with_no_output(capsys, argv):
-    rc, out, err = run_cli(capsys, *argv, "--n", "16", "--k", "8")
+    # the default code goes first, so a case may override --n and --k
+    rc, out, err = run_cli(capsys, argv[0], "--n", "16", "--k", "8", *argv[1:])
     assert rc == 1
     assert err.startswith("error:")
     assert out == ""

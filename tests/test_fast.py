@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,15 +11,19 @@ from fastssc import (
     classified,
     classify_tree,
     construct_code,
+    encode,
     fast_ssc_decode,
     latency_model,
     latency_reduction_sweep,
     node_cycles,
     sc_decode,
 )
-from fastssc.fast import decode_rate1, decode_rep, decode_spc, fold_argmin
+from fastssc import fast
+from fastssc.fast import _spc_tie_risk, decode_rate1, decode_rep, decode_spc, fold_argmin
+from fastssc.reference import prepare_llr
+from fastssc.sim import ChannelConfig, awgn_llr, draw_messages_and_noise
 from conftest import noisy_float_llr, noisy_int_llr, random_code
-from oracles import rep_ml_word, spc_ml_optima
+from oracles import comparator_fold_argmin, rep_ml_word, spc_ml_optima
 
 
 def kinds_by_preorder(code):
@@ -102,6 +107,15 @@ def test_fold_argmin_tie_follows_comparator_order():
     # then 1-vs-2 ties and the fold keeps the lane holding index 2.
     assert fold_argmin(np.array([[3, 1, 1, 1]])).tolist() == [2]
     assert fold_argmin(np.array([[0, 5, 0, 5]])).tolist() == [0]
+
+
+def test_fold_argmin_matches_comparator_tree(rng):
+    # every row over {0,1,2} up to 8 lanes, where ties are dense, then
+    # random rows up to 1024 lanes
+    blocks = [np.array(list(itertools.product(range(3), repeat=n))) for n in (1, 2, 4, 8)]
+    blocks += [rng.integers(0, 4, size=(200, n)) for n in (16, 64, 256, 1024)]
+    for mags in blocks:
+        assert fold_argmin(mags).tolist() == [comparator_fold_argmin(row) for row in mags]
 
 
 def test_decode_rate1_is_elementwise():
@@ -196,6 +210,53 @@ def test_hardware_mode_diverges_only_at_ties(rng):
     assert (hard.u_hat[:, code.frozen] == 0).all()
     # and matches exact mode off the tie set
     assert (exact.u_hat[~differs] == hard.u_hat[~differs]).all()
+
+
+@pytest.mark.parametrize("spec", [QuantSpec(4, 5, 0), QuantSpec(3, 3, 0)], ids=str)
+@pytest.mark.parametrize("size,top", [(4, 4), (8, 2)])
+def test_spc_tie_predicate_exhaustive(spec, size, top):
+    # Every SPC input on the grid {-top..top}^size.  The grid goes in as
+    # floats, so at 3,3,0 the channel clips +-4 to +-3 and g saturates at 3.
+    alphas = np.array(list(itertools.product(range(-top, top + 1), repeat=size)), dtype=float)
+    code = PolarCode.from_frozen_mask(np.array([True] + [False] * (size - 1)))
+    exact = fast_ssc_decode(code, alphas, spec, tie_mode="exact")
+    assert (exact.x_hat == sc_decode(code, alphas, spec).x_hat).all()
+    words, _ = prepare_llr(alphas, size, spec)
+    even = np.count_nonzero(words < 0, axis=1) % 2 == 0
+    nonzero = (words != 0).all(axis=1)
+    assert not _spc_tie_risk(words)[even & nonzero].any()
+
+
+def test_exact_mode_rarely_re_decodes(monkeypatch):
+    # Tier-1 guard for the SPC tie predicate: at 4 dB the GA (1024,870) code
+    # at 4,5,0 needs far less than one plain-SC node re-decode per frame.
+    code = construct_code(1024, 870, 2.0)
+    cfg = ChannelConfig(4.0, code.rate, seed=0)
+    msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, 0, 256)
+    llr = awgn_llr(encode(code, msgs), cfg, noise=noise)
+    rows = []
+
+    def counting(sub, a, spec=None):
+        rows.append(len(a))
+        return sc_decode(sub, a, spec)
+
+    monkeypatch.setattr(fast, "sc_decode", counting)
+    spec = QuantSpec(4, 5, 0)
+    out = fast_ssc_decode(code, llr, spec, tie_mode="exact")
+    assert sum(rows) < 256
+    assert (out.u_hat == sc_decode(code, llr, spec).u_hat).all()
+
+
+def test_narrow_words_decode_like_int64(rng):
+    spec = QuantSpec(4, 5, 0)
+    for N in (16, 64):
+        code = random_code(N, rng)
+        _, llr = noisy_int_llr(code, rng, frames=300)
+        narrow = llr.astype(spec.word_dtype)
+        for decode in (lambda x: sc_decode(code, x, spec),
+                       lambda x: fast_ssc_decode(code, x, spec, tie_mode="exact"),
+                       lambda x: fast_ssc_decode(code, x, spec, tie_mode="hardware")):
+            assert (decode(llr).u_hat == decode(narrow).u_hat).all()
 
 
 def test_fast_known_tie_case_hardware_vs_exact():

@@ -27,7 +27,7 @@ def test_spec_string_rejects_garbage(bad):
 
 
 @pytest.mark.parametrize("c,l,f", [(0, 5, 0), (6, 5, 0), (4, 65, 0), (4, 5, 4), (4, 5, -1),
-                                   (4, 64, 0), (55, 63, 0)])
+                                   (4, 64, 0), (55, 63, 0), (1, 1, 0)])
 def test_spec_rejects_bad_widths(c, l, f):
     with pytest.raises(ValueError):
         QuantSpec(c, l, f)
@@ -85,9 +85,12 @@ def test_sat_add_clips_to_internal_limit():
 
 def test_validate_quantized_bounds():
     spec = QuantSpec(4, 5, 0)
-    validate_quantized(np.array([15, -15, 0]), spec)
+    assert validate_quantized(np.array([15, -15, 0], dtype=np.int8), spec).dtype == np.int64
     with pytest.raises(ValueError):
         validate_quantized(np.array([16]), spec)
+    # abs(-128) wraps to -128 in int8; the range check must not rely on it
+    with pytest.raises(ValueError):
+        validate_quantized(np.array([-128], dtype=np.int8), QuantSpec(4, 8, 0))
 
 
 def test_saturate_idempotent():
@@ -122,7 +125,7 @@ def test_sat_add_commutes_and_bounds(a, b):
 
 @st.composite
 def specs(draw):
-    c = draw(st.integers(1, 54))
+    c = draw(st.integers(2, 54))
     return QuantSpec(c, draw(st.integers(c, 63)), draw(st.integers(0, c - 1)))
 
 
@@ -135,3 +138,22 @@ def test_widest_specs_saturate_without_wrapping(spec, data):
     a, b = data.draw(wide), data.draw(wide)
     want = max(-spec.internal_limit, min(spec.internal_limit, a + b))
     assert int(sat_add(a, b, spec)) == want
+
+
+@pytest.mark.parametrize("bits,dtype", [(7, np.int8), (8, np.int16), (15, np.int16),
+                                        (16, np.int32), (31, np.int32), (32, np.int64),
+                                        (63, np.int64)])
+@given(data=st.data())
+def test_sat_add_in_word_dtype_matches_clipped_int64(bits, dtype, data):
+    spec = QuantSpec(2, bits, 0)
+    assert spec.word_dtype == dtype
+    lim = spec.internal_limit
+    n = data.draw(st.integers(0, 8))
+    word = st.integers(-lim, lim)
+    # the corners first: the largest sums a word dtype must hold
+    a = [lim, -lim, lim, -lim] + data.draw(st.lists(word, min_size=n, max_size=n))
+    b = [lim, -lim, -lim, lim] + data.draw(st.lists(word, min_size=n, max_size=n))
+    out = sat_add(np.array(a, dtype=dtype), np.array(b, dtype=dtype), spec)
+    assert out.dtype == dtype
+    want = np.clip(np.array(a, dtype=np.int64) + np.array(b, dtype=np.int64), -lim, lim)
+    assert (out.astype(np.int64) == want).all()

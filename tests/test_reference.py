@@ -132,6 +132,20 @@ def test_decoders_reject_non_finite_float_llrs(bad):
         sc_decode(code, np.stack([np.full(16, 2.0), llr]))
 
 
+@pytest.mark.parametrize("bits,dtype", [(2, np.int8), (7, np.int8), (8, np.int16),
+                                        (15, np.int16), (16, np.int32), (31, np.int32),
+                                        (32, np.int64), (63, np.int64)])
+def test_prepare_llr_returns_word_dtype(bits, dtype):
+    spec = QuantSpec(2, bits, 0)
+    # C = 2 quantizes floats to {-1, 0, 1}; integers are taken as raw words
+    for llr, want in ((np.array([0.4, -3.0, 1.0, 0.0]), [0, -1, 1, 0]),
+                      (np.array([1, -1, 0, 1], dtype=np.int64), [1, -1, 0, 1])):
+        arr, _ = prepare_llr(llr, 4, spec)
+        assert arr.dtype == dtype
+        assert arr.tolist() == [want]
+    assert prepare_llr(np.array([1, -1, 0, 1]), 4)[0].dtype == np.float64
+
+
 def test_sc_decode_validates_quantized_inputs():
     code = construct_code(8, 4, 2.0)
     with pytest.raises(ValueError):
