@@ -22,15 +22,32 @@ def _add_code_args(p):
     p.add_argument("--frozen-file", help="frozen-set file overriding --n/--k construction")
 
 
-def _resolve_code(args):
+MAX_N = 2**20
+MAX_CHUNK_VALUES = 2**25
+MAX_RANGE_POINTS = 1000
+
+
+def _check_size(N, frames):
+    if N > MAX_N:
+        raise ValueError(f"N={N} is above the cap of {MAX_N}")
+    if frames * N > MAX_CHUNK_VALUES:
+        raise ValueError(f"a chunk of {frames} frames of N={N} holds more than "
+                         f"{MAX_CHUNK_VALUES} values")
+
+
+def _resolve_code(args, frames=1):
+    """The code of --frozen-file or --n/--k, checked against the size caps.
+
+    ``frames`` is how many of its frames one chunk holds at once.
+    """
     if args.frozen_file:
-        return core.read_frozen_file(args.frozen_file)
+        code = core.read_frozen_file(args.frozen_file)
+        _check_size(code.N, frames)
+        return code
     if args.n is None or args.k is None:
         raise ValueError("provide --frozen-file or both --n and --k")
+    _check_size(args.n, frames)
     return core.construct_code(args.n, args.k, args.design_snr, method=args.method)
-
-
-MAX_RANGE_POINTS = 1000
 
 
 def parse_ebn0(text):
@@ -40,14 +57,14 @@ def parse_ebn0(text):
         token = token.strip()
         if ":" in token:
             lo, hi, step = (float(t) for t in token.split(":"))
-            if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0:
-                raise ValueError(f"Eb/N0 range {token!r} needs finite bounds and a step > 0")
-            if (hi - lo) / step >= MAX_RANGE_POINTS:
+            if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or lo + step == lo:
+                raise ValueError(f"Eb/N0 range {token!r} needs finite bounds and a step > 0 "
+                                 "that moves lo")
+            # points lo + i * step up to hi, with a 1e-9 dB tolerance at hi
+            span = (hi - lo + 1e-9) / step
+            if span >= MAX_RANGE_POINTS:
                 raise ValueError(f"Eb/N0 range {token!r} has more than {MAX_RANGE_POINTS} points")
-            v = lo
-            while v <= hi + 1e-9:
-                pts.append(round(v, 6))
-                v += step
+            pts.extend(round(lo + i * step, 6) for i in range(math.floor(span) + 1))
         elif token:
             pts.append(float(token))
     if not pts:
@@ -112,7 +129,7 @@ def _bits_str(bits):
 
 
 def cmd_decode(args):
-    code = _resolve_code(args)
+    code = _resolve_code(args, 1 if args.frame_file else args.frames)
     if args.trace and args.decoder != "hw":
         raise ValueError("--trace is only available with --decoder hw")
     quant = QuantSpec.from_string(args.quant) if args.quant else None
@@ -147,7 +164,7 @@ def cmd_decode(args):
 
 
 def cmd_ber(args):
-    code = _resolve_code(args)
+    code = _resolve_code(args, args.batch)
     quant = QuantSpec.from_string(args.quant) if args.quant else None
     stop = sim.StopRule(args.min_frame_errors, args.max_frames)
     rows = sim.run_ber_sweep(

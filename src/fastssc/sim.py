@@ -1,10 +1,14 @@
 """Monte-Carlo harness: BPSK over AWGN, BER/FER sweeps, throughput arithmetic.
 
-Reproducibility contract: frame ``i`` of a run draws its message bits and its
-noise from a counter-based Philox generator keyed ``(seed, i)``.  Results are
-therefore identical no matter how frames are batched or spread across
-workers.  The worker count defaults to the ``FASTSSC_THREADS`` environment
-variable (serial when unset) and never exceeds the number of CPUs.
+Reproducibility contract: frames are drawn in fixed, frame-aligned blocks of
+``DRAW_BLOCK`` = 64.  Block ``b`` holds frames ``64 b`` to ``64 b + 63`` and
+has its own counter-based Philox generator, keyed ``(seed, b)``, which fills
+the block's message bits and then its noise in two bulk calls.  A chunk that
+starts or ends inside a block draws the whole block and keeps its own rows, so
+frame ``i`` still depends only on ``(seed, i)``, and results are identical no
+matter how frames are batched or spread across workers.  The worker count
+defaults to the ``FASTSSC_THREADS`` environment variable (serial when unset)
+and never exceeds the number of CPUs.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +43,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         db_to_linear(self.ebn0_db)
+        if not 0 <= operator.index(self.seed) < 2**64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
 
     @property
     def noise_var(self):
@@ -91,19 +98,28 @@ class TrialStats:
         )
 
 
-def _frame_rng(seed, index):
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, index]))
+DRAW_BLOCK = 64
 
 
 def draw_messages_and_noise(cfg, K, N, first_frame, count):
-    """Messages and unit-variance noise for frames [first, first+count)."""
-    msgs = np.empty((count, K), dtype=np.uint8)
-    noise = np.empty((count, N), dtype=np.float64)
-    for i in range(count):
-        rng = _frame_rng(cfg.seed, first_frame + i)
-        msgs[i] = rng.integers(0, 2, size=K, dtype=np.uint8)
-        noise[i] = rng.standard_normal(N)
-    return msgs, noise
+    """Messages and unit-variance noise for frames [first, first+count).
+
+    Each block of ``DRAW_BLOCK`` frames the range touches is drawn whole from
+    a Philox generator keyed ``(seed, frame // DRAW_BLOCK)``: messages
+    ``(DRAW_BLOCK, K)`` first, then noise ``(DRAW_BLOCK, N)``.
+    """
+    first_block = first_frame // DRAW_BLOCK
+    blocks = range(first_block, -(-(first_frame + count) // DRAW_BLOCK))
+    msgs = np.empty((len(blocks) * DRAW_BLOCK, K), dtype=np.uint8)
+    noise = np.empty((len(blocks) * DRAW_BLOCK, N), dtype=np.float64)
+    for j, block in enumerate(blocks):
+        key = np.array([cfg.seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        rows = slice(j * DRAW_BLOCK, (j + 1) * DRAW_BLOCK)
+        msgs[rows] = rng.integers(0, 2, size=(DRAW_BLOCK, K), dtype=np.uint8)
+        rng.standard_normal(out=noise[rows])
+    skip = first_frame - first_block * DRAW_BLOCK
+    return msgs[skip:skip + count], noise[skip:skip + count]
 
 
 def awgn_llr(codeword, cfg, noise):
@@ -198,8 +214,8 @@ def run_ber_sweep(code, ebn0_list, decoder="fast_ssc", quant=None, tie_mode="exa
         Tie resolution for ``"fast_ssc"`` (see :mod:`fastssc.fast`).
     stop : StopRule
     seed : int
-        Every frame's randomness derives from (seed, frame index), so results
-        do not depend on batching or worker count.
+        In 0..2**64-1.  Every frame's randomness derives from (seed, frame
+        index), so results do not depend on batching or worker count.
 
     Returns
     -------

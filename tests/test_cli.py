@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fastssc import construct_code, read_frozen_file
-from fastssc.cli import MAX_RANGE_POINTS, main, parse_ebn0
+from fastssc.cli import MAX_CHUNK_VALUES, MAX_N, MAX_RANGE_POINTS, main, parse_ebn0
 
 
 def run_cli(capsys, *args):
@@ -95,7 +95,7 @@ def test_ber_ebn0_range_syntax(capsys):
 
 
 @pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan", "0:1:1e-6",
-                                 "0:1e300:1e-300"])
+                                 "0:1e300:1e-300", "5:5:1e-300", "0:0:1e-300"])
 def test_parse_ebn0_rejects_bad_ranges(bad):
     with pytest.raises(ValueError):
         parse_ebn0(bad)
@@ -104,7 +104,10 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
 @pytest.mark.parametrize("extra", [("--ebn0", "1:2:0"), ("--ebn0", "2", "--batch", "0"),
                                    ("--ebn0", "2", "--max-frames", "0"),
                                    ("--ebn0", "2", "--min-frame-errors", "0"),
-                                   ("--ebn0", "1e6"), ("--ebn0=-1e6",), ("--ebn0", "nan")])
+                                   ("--ebn0", "1e6"), ("--ebn0=-1e6",), ("--ebn0", "nan"),
+                                   ("--ebn0", "2", "--seed", "-1"),
+                                   ("--ebn0", "2", "--seed", str(2**64)),
+                                   ("--ebn0", "5:5:1e-300")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1
@@ -120,6 +123,15 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     ("construct", "--design-snr", "1e6"),
     ("schedule", "--n", "1", "--k", "1"),
     ("decode", "--decoder", "hw", "--quant", "1,1,0"),
+    ("decode", "--seed", "-1"),
+    ("decode", "--seed", str(2**64)),
+    ("ber", "--ebn0", "2", "--seed", "-1"),
+    ("ber", "--ebn0", "2", "--seed", str(2**64)),
+    # size caps, checked before anything of that size is built
+    ("construct", "--n", str(2 * MAX_N), "--k", "1"),
+    ("schedule", "--n", str(2 * MAX_N), "--k", "1"),
+    ("decode", "--frames", str(MAX_CHUNK_VALUES // 16 + 1)),
+    ("ber", "--ebn0", "2", "--batch", str(MAX_CHUNK_VALUES // 16 + 1)),
 ])
 def test_bad_input_exits_one_with_no_output(capsys, argv):
     # the default code goes first, so a case may override --n and --k

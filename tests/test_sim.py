@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,52 @@ def test_draw_is_per_frame_deterministic():
     assert (n1[5:] == n2).all()
 
 
+def test_block_draw_is_partition_free():
+    # frames 63|64 and 640..703 straddle block edges
+    cfg = ChannelConfig(2.0, 0.5, seed=42)
+    m, n = draw_messages_and_noise(cfg, 8, 16, first_frame=0, count=200)
+    for first, count in [(63, 2), (1, 199)]:
+        part_m, part_n = draw_messages_and_noise(cfg, 8, 16, first, count)
+        assert (part_m == m[first:first + count]).all()
+        assert (part_n == n[first:first + count]).all()
+    m, n = draw_messages_and_noise(cfg, 8, 16, first_frame=0, count=2100)
+    parts = [draw_messages_and_noise(cfg, 8, 16, lo, 700) for lo in (0, 700, 1400)]
+    assert (np.concatenate([p[0] for p in parts]) == m).all()
+    assert (np.concatenate([p[1] for p in parts]) == n).all()
+
+
+def test_draw_golden_values():
+    # pins the stream: frame 0 opens block 0 and frame 64 opens block 1
+    cfg = ChannelConfig(2.0, 0.5, seed=0)
+    m, n = draw_messages_and_noise(cfg, 8, 16, first_frame=0, count=65)
+    assert m[0].tolist() == [1, 1, 1, 0, 0, 1, 1, 0]
+    assert m[64].tolist() == [0, 1, 1, 1, 1, 1, 0, 1]
+    assert n[0, :4] == pytest.approx(
+        [-0.1459393950357257, 0.0679170675642295, -0.09398274575168718, 1.5718567223945916],
+        rel=1e-12)
+    assert n[64, :4] == pytest.approx(
+        [0.2862208112773351, -1.6625176151701733, -1.7273213912853327, -0.5386785182589856],
+        rel=1e-12)
+
+
+def test_seed_range_is_checked():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            ChannelConfig(2.0, 0.5, seed=seed)
+    with pytest.raises(TypeError):
+        ChannelConfig(2.0, 0.5, seed=1.5)
+
+
+def test_large_seeds_draw_distinct_frames():
+    # a list key once turned 2**63 + 1 and 2**63 + 2 into the same float64
+    _, a = draw_messages_and_noise(ChannelConfig(2.0, 0.5, seed=2**63 + 1), 8, 16, 0, 4)
+    _, b = draw_messages_and_noise(ChannelConfig(2.0, 0.5, seed=2**63 + 2), 8, 16, 0, 4)
+    assert (a != b).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draw_messages_and_noise(ChannelConfig(2.0, 0.5, seed=2**64 - 1), 8, 16, 0, 4)
+
+
 def test_high_snr_decodes_clean():
     code = construct_code(64, 32, 2.0)
     stats = run_point(code, ChannelConfig(40.0, code.rate, seed=1), stop=StopRule(10, 500), batch=100)
@@ -95,10 +143,10 @@ def test_run_point_rejects_empty_batch(batch):
 
 def test_different_seeds_differ():
     code = construct_code(32, 16, 2.0)
-    stop = StopRule(10**9, 300)
-    a = run_point(code, ChannelConfig(1.0, code.rate, seed=1), stop=stop)
-    b = run_point(code, ChannelConfig(1.0, code.rate, seed=2), stop=stop)
-    assert (a.bit_errors, a.frame_errors) != (b.bit_errors, b.frame_errors)
+    m1, n1 = draw_messages_and_noise(ChannelConfig(1.0, code.rate, seed=1), code.K, code.N, 0, 300)
+    m2, n2 = draw_messages_and_noise(ChannelConfig(1.0, code.rate, seed=2), code.K, code.N, 0, 300)
+    assert (m1 != m2).any()
+    assert (n1 != n2).any(axis=1).all()
 
 
 def test_decoders_agree_on_error_counts():
