@@ -28,7 +28,7 @@ def main(argv=None):
     ap.add_argument("--min-frame-errors", type=int, default=200)
     ap.add_argument("--max-frames", type=int, default=400_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="quant_study.csv")
     args = ap.parse_args(argv)
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from . import core, fast, hw, sim
+from .core import MAX_N
 from .quant import QuantSpec
 from .reference import sc_latency_cycles, two_bit_precomputed_cycles
 
@@ -22,7 +23,6 @@ def _add_code_args(p):
     p.add_argument("--frozen-file", help="frozen-set file overriding --n/--k construction")
 
 
-MAX_N = 2**20
 MAX_CHUNK_VALUES = 2**25
 MAX_RANGE_POINTS = 1000
 
@@ -92,7 +92,7 @@ def cmd_schedule(args):
         raise ValueError(f"schedule needs N >= 2, got N={code.N}")
     report = fast.latency_model(fast.classified(code), precompute=not args.no_precompute)
     for e in report.entries:
-        print(f"node={e.node:5d} kind={e.kind:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")
+        print(f"node={e.node:5d} kind={e.kind.value:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")
     total = report.total_cycles
     conv = sc_latency_cycles(code, "conventional")
     pre = sc_latency_cycles(code, "precomputed")
@@ -133,8 +133,6 @@ def cmd_decode(args):
     if args.trace and args.decoder != "hw":
         raise ValueError("--trace is only available with --decoder hw")
     quant = QuantSpec.from_string(args.quant) if args.quant else None
-    if args.decoder == "hw" and quant is None:
-        quant = QuantSpec(4, 5, 0)
     if args.frame_file:
         llr = _load_frames(args.frame_file, code.N)
         tx_msgs = None
@@ -145,7 +143,7 @@ def cmd_decode(args):
         tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
         llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
     if args.decoder == "hw":
-        tree = hw.PuTree(code.N, quant)
+        tree = hw.PuTree(code.N) if quant is None else hw.PuTree(code.N, quant)
         result = hw.hw_decode_frame(tree, code, llr, trace=bool(args.trace))
         if args.trace:
             hw.write_trace_jsonl(args.trace, result)
@@ -204,7 +202,7 @@ def build_parser():
     p = sub.add_parser("decode", help="decode frames from a file or a seeded random channel")
     _add_code_args(p)
     p.add_argument("--decoder", choices=["sc", "fast-ssc", "hw"], default="fast-ssc")
-    p.add_argument("--quant", help="fixed-point spec 'C,L,F', e.g. 4,5,0")
+    p.add_argument("--quant", help="fixed-point spec 'C,L,F', e.g. 4,5,0 (the hw default)")
     p.add_argument("--tie-mode", choices=["exact", "hardware"], default="exact")
     p.add_argument("--frame-file", help="text file, one whitespace-separated LLR frame per line")
     p.add_argument("--ebn0", type=float, default=2.0, help="channel Eb/N0 for random frames")
@@ -216,15 +214,15 @@ def build_parser():
     p = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep")
     _add_code_args(p)
     p.add_argument("--decoder", choices=["sc", "fast-ssc", "hw"], default="fast-ssc")
-    p.add_argument("--quant", help="fixed-point spec 'C,L,F'")
+    p.add_argument("--quant", help="fixed-point spec 'C,L,F' (hw default 4,5,0)")
     p.add_argument("--tie-mode", choices=["exact", "hardware"], default="exact")
     p.add_argument("--ebn0", required=True, help="comma list and/or lo:hi:step ranges, in dB")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-frame-errors", type=int, default=200)
     p.add_argument("--max-frames", type=int, default=10_000_000)
     p.add_argument("--batch", type=int, default=2048)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: FASTSSC_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel workers, at most the CPU count (default 1)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_ber)
     return parser

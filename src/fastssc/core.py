@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_N = 2**20  # largest block length a frozen-set file or the CLI may ask for
+
 
 @dataclass(frozen=True)
 class CodeConstruction:
@@ -232,6 +234,8 @@ def read_frozen_file(path):
     if len(head) != 2:
         raise ValueError(f"first line must be 'N K', got {lines[0]!r}")
     N, K = int(head[0]), int(head[1])
+    if N > MAX_N:
+        raise ValueError(f"N={N} is above the cap of {MAX_N}")
     body = lines[1].split() if len(lines) > 1 else []
     indices = np.array(sorted(int(t) for t in body), dtype=np.int64)
     if len(indices) != N - K:

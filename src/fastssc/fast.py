@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,15 +65,18 @@ class NodeKind(enum.Enum):
     BRANCH = "branch"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeNode:
-    """One node of the classified decode tree."""
+    """One node of the classified decode tree and its cycle cost.
 
-    node_id: int
+    ``node`` is the node's preorder index, which is also its decode order.
+    """
+
+    node: int
+    kind: NodeKind
     stage: int
     offset: int
-    kind: NodeKind
-    children: tuple = ()
+    cycles: int
 
     @property
     def size(self):
@@ -83,25 +86,24 @@ class DecodeNode:
 def classify_tree(code):
     """Classify the decode tree of a code.
 
-    Returns the root :class:`DecodeNode`.  Node ids are assigned in preorder,
-    which is also the order nodes are visited during decoding.
+    Returns its nodes as a tuple in preorder, the order decoding visits them,
+    so ``nodes[i].node == i``.  A branch's left child follows it directly and
+    its right child follows the left child's subtree.  Each node carries its
+    :func:`node_cycles` cost in the precomputed schedule.
     """
     frozen = code.frozen
-    counter = [0]
+    nodes = []
 
     def build(stage, offset):
-        node_id = counter[0]
-        counter[0] += 1
         size = 1 << stage
-        mask = frozen[offset : offset + size]
-        kind = _classify_mask(mask)
-        if kind is not NodeKind.BRANCH:
-            return DecodeNode(node_id, stage, offset, kind)
-        left = build(stage - 1, offset)
-        right = build(stage - 1, offset + size // 2)
-        return DecodeNode(node_id, stage, offset, NodeKind.BRANCH, (left, right))
+        kind = _classify_mask(frozen[offset : offset + size])
+        nodes.append(DecodeNode(len(nodes), kind, stage, offset, node_cycles(kind, stage)))
+        if kind is NodeKind.BRANCH:
+            build(stage - 1, offset)
+            build(stage - 1, offset + size // 2)
 
-    return build(code.n, 0)
+    build(code.n, 0)
+    return tuple(nodes)
 
 
 def _classify_mask(mask):
@@ -234,18 +236,16 @@ def _spc_tie_risk(alpha):
 
 
 def _plan(code):
-    """Classified tree and immutable precompute schedule, cached on the code."""
+    """The code's node table as an immutable schedule report, cached on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        tree = classify_tree(code)
-        plan = (tree, latency_model(tree))
-        code._decode_plan = plan
+        plan = code._decode_plan = ScheduleReport(code.N, classify_tree(code))
     return plan
 
 
 def classified(code):
-    """Classified tree for a code, cached on the code object."""
-    return _plan(code)[0]
+    """Classified nodes of a code in preorder, cached on the code object."""
+    return _plan(code).entries
 
 
 def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
@@ -285,23 +285,28 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
     the right child's LLRs out.  A leaf reports its kind's value with its
     LLRs in and its codeword estimate out.
 
+    Each visit takes the next node of the preorder table, so a branch's
+    children are the nodes its two recursive visits take.
+
     Returns a batched :class:`DecodeResult`.  The transform is its own
     inverse, so one transform of the root estimate gives ``u_hat``.
     """
     batch = alpha.shape[0]
+    nodes = iter(classified(code))
 
-    def visit(node, a):
+    def visit(a):
+        node = next(nodes)
         if node.kind is NodeKind.BRANCH:
             half = node.size // 2
             near, far = a[:, half:], a[:, :half]
             a_left = f_min_sum(far, near)
             if hook:
                 hook(node, "f", a, a_left)
-            beta_l = visit(node.children[0], a_left)
+            beta_l = visit(a_left)
             a_right = g_function(beta_l, near, far, spec)
             if hook:
                 hook(node, "g", beta_l, a_right)
-            return combine_beta(beta_l, visit(node.children[1], a_right))
+            return combine_beta(beta_l, visit(a_right))
         if node.kind is NodeKind.RATE0:
             beta = np.zeros((batch, node.size), dtype=np.uint8)
         elif node.kind is NodeKind.RATE1:
@@ -319,19 +324,8 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
             hook(node, node.kind.value, a, beta)
         return beta
 
-    x_hat = visit(classified(code), alpha)
+    x_hat = visit(alpha)
     return DecodeResult(polar_transform(x_hat), x_hat)
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One visited node of the decode schedule and its cycle cost."""
-
-    node: int
-    kind: str
-    stage: int
-    offset: int
-    cycles: int
 
 
 @dataclass(frozen=True)
@@ -346,42 +340,39 @@ class ScheduleReport:
         return sum(e.cycles for e in self.entries)
 
     def to_json(self):
-        return json.dumps([e.__dict__ for e in self.entries], indent=2)
+        return json.dumps([{**e.__dict__, "kind": e.kind.value} for e in self.entries], indent=2)
 
 
-def node_cycles(node, precompute=True):
-    """Cycle cost of one node visit.
+def node_cycles(kind, stage, precompute=True):
+    """Cycle cost of one visit to a node of this kind and stage.
 
     Single-bit leaves cost nothing: their decisions fall out of the parent's
     update combinationally.  That keeps an unprunable tree at exactly the
     N - 1 cycles of the precomputed schedule.
     """
-    if node.stage == 0:
+    if stage == 0:
         return 0
-    if node.kind is NodeKind.BRANCH:
+    if kind is NodeKind.BRANCH:
         return 1 if precompute else 2
-    if node.kind in (NodeKind.RATE0, NodeKind.RATE1):
+    if kind in (NodeKind.RATE0, NodeKind.RATE1):
         return 1
-    if node.kind is NodeKind.SPC:
-        return node.stage + 1
-    return node.stage  # REP
+    if kind is NodeKind.SPC:
+        return stage + 1
+    return stage  # REP
 
 
-def latency_model(tree, precompute=True):
+def latency_model(nodes, precompute=True):
     """Static cycle count of the pruned schedule.
 
-    Walks the classified tree in decode order and charges each node its
-    :func:`node_cycles`; the cycle-level datapath model clocks its trace from
-    this schedule.
+    ``nodes`` is a node table from :func:`classify_tree`, whose cycle column
+    already holds the precomputed schedule; without precompute each branch
+    is re-costed.  The cycle-level datapath model clocks its trace from the
+    same table.
     """
-    entries = []
-    def walk(node):
-        entries.append(ScheduleEntry(node.node_id, node.kind.value, node.stage,
-                                     node.offset, node_cycles(node, precompute)))
-        for child in node.children:
-            walk(child)
-    walk(tree)
-    return ScheduleReport(1 << tree.stage, tuple(entries))
+    nodes = tuple(nodes)
+    if not precompute:
+        nodes = tuple(replace(n, cycles=node_cycles(n.kind, n.stage, False)) for n in nodes)
+    return ScheduleReport(1 << nodes[0].stage, nodes)
 
 
 def latency_reduction_sweep(N, rates, design_snr_db):

@@ -19,8 +19,8 @@ Constituent codes run on the same units and schedule as regular nodes, so the
 model is the pruned decode walk of :mod:`fastssc.fast` in hardware tie mode,
 in the tree's saturating fixed point.  Outputs are therefore bit-identical to
 ``fast_ssc_decode(..., tie_mode="hardware")``; every visited node spends the
-cycles of its entry in the code's :func:`fastssc.fast.latency_model` schedule,
-which also clocks the first frame's per-cycle trace (exportable as JSON lines).
+cycles it carries in the code's classified node table, and those cycles also
+clock the first frame's per-cycle trace (exportable as JSON lines).
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ class PuTree:
         self.spec = spec
 
 
-def _tracer(rows, spec, schedule):
-    """Walk hook that logs the first frame's datapath, clocked by the schedule.
+def _tracer(rows, spec):
+    """Walk hook that logs the first frame's datapath, clocked by the nodes.
 
-    The walk visits nodes in preorder, the order the schedule lists them, so
-    each node takes the next entry and its rows fill that entry's cycles.
+    Each visited node's rows fill the cycles that node carries.
     """
-    entries = iter(schedule.entries)
     cycle = 0
 
     def log(at, stage, unit, op, ins, out):
@@ -66,8 +64,6 @@ def _tracer(rows, spec, schedule):
             # select lands in the left child's last cycle.
             log(cycle, layer, "pu[*]", "g_select", inp[0, 0].item(), out[0, 0].item())
             return
-        entry = next(entries)
-        assert entry.node == node.node_id, "walk and schedule disagree on visit order"
         if node.stage == 0:
             steps = []  # single-bit decisions fall out of the parent's update
         elif op == "f":
@@ -94,10 +90,10 @@ def _tracer(rows, spec, schedule):
                 # exactly when the parity check fails.
                 parity = int((out[0] != hard_decision(frame0[0])).any())
                 steps.append((0, "ptu[*]", "ptu_route", parity, None))
-        clock = range(cycle + 1, cycle + entry.cycles + 1)
+        clock = range(cycle + 1, cycle + node.cycles + 1)
         for c, step in zip(clock, steps, strict=True):
             log(c, *step)
-        cycle += entry.cycles
+        cycle += node.cycles
 
     return hook
 
@@ -132,19 +128,18 @@ def hw_decode_frame(tree, code, llr, trace=False):
     HwDecodeResult
         ``u_hat`` is bit-identical to quantized
         ``fast_ssc_decode(..., tie_mode="hardware")``; ``cycle_trace`` is the
-        code's cached :func:`fastssc.fast.latency_model` schedule.
+        code's cached node table, the same report on every call.
     """
     if code.N > tree.N:
         raise ValueError(f"code length {code.N} exceeds tree width {tree.N}")
     alpha, single = prepare_llr(llr, code.N, tree.spec)
-    schedule = _plan(code)[1]
     rows = []
-    hook = _tracer(rows, tree.spec, schedule) if trace else None
+    hook = _tracer(rows, tree.spec) if trace else None
     result = _walk(code, alpha, tree.spec, "hardware", hook)
     u_hat, x_hat = result.u_hat, result.x_hat
     if single:
         u_hat, x_hat = u_hat[0], x_hat[0]
-    return HwDecodeResult(u_hat, x_hat, schedule, rows)
+    return HwDecodeResult(u_hat, x_hat, _plan(code), rows)
 
 
 def write_trace_jsonl(path, result):

@@ -7,8 +7,7 @@ the block's message bits and then its noise in two bulk calls.  A chunk that
 starts or ends inside a block draws the whole block and keeps its own rows, so
 frame ``i`` still depends only on ``(seed, i)``, and results are identical no
 matter how frames are batched or spread across workers.  The worker count
-defaults to the ``FASTSSC_THREADS`` environment variable (serial when unset)
-and never exceeds the number of CPUs.
+defaults to 1 and never exceeds the number of CPUs.
 """
 
 from __future__ import annotations
@@ -143,21 +142,16 @@ def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
     if decoder == "fast_ssc":
         return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode).u_hat
     if decoder == "hw":
-        if quant is None:
-            raise ValueError("the datapath decoder requires a quantization spec")
-        tree = PuTree(code.N, quant)
+        tree = PuTree(code.N) if quant is None else PuTree(code.N, quant)
         return lambda llr: hw_decode_frame(tree, code, llr).u_hat
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
-def resolve_workers(workers=None):
-    """``workers``, else ``FASTSSC_THREADS``, else 1; clamped to 1..CPU count."""
-    if workers is None:
-        try:
-            workers = int(os.environ.get("FASTSSC_THREADS", ""))
-        except ValueError:
-            workers = 1
-    return max(1, min(int(workers), os.cpu_count() or 1))
+def resolve_workers(workers):
+    """``workers`` clamped to the CPU count; a count below 1 is an error."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _run_chunk(code, decode, cfg, first_frame, count):
@@ -175,7 +169,7 @@ def _run_chunk(code, decode, cfg, first_frame, count):
 
 
 def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
-              stop=StopRule(), batch=2048, workers=None):
+              stop=StopRule(), batch=2048, workers=1):
     """Simulate one Eb/N0 point until the stop rule fires.
 
     Each round decodes up to ``batch * workers`` frames in chunks of
@@ -198,7 +192,7 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
 
 
 def run_ber_sweep(code, ebn0_list, decoder="fast_ssc", quant=None, tie_mode="exact",
-                  stop=StopRule(), seed=0, batch=2048, workers=None):
+                  stop=StopRule(), seed=0, batch=2048, workers=1):
     """BER/FER at each Eb/N0 point.
 
     Parameters
@@ -209,7 +203,8 @@ def run_ber_sweep(code, ebn0_list, decoder="fast_ssc", quant=None, tie_mode="exa
     decoder : str
         ``"sc"``, ``"fast_ssc"``, or ``"hw"``.
     quant : QuantSpec, optional
-        Run the decoder in fixed point (required for ``"hw"``).
+        Run the decoder in fixed point; ``"hw"`` defaults to
+        :class:`~fastssc.hw.PuTree`'s spec.
     tie_mode : str
         Tie resolution for ``"fast_ssc"`` (see :mod:`fastssc.fast`).
     stop : StopRule

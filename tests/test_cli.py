@@ -5,6 +5,7 @@ import pytest
 
 from fastssc import construct_code, read_frozen_file
 from fastssc.cli import MAX_CHUNK_VALUES, MAX_N, MAX_RANGE_POINTS, main, parse_ebn0
+from conftest import DATA_DIR
 
 
 def run_cli(capsys, *args):
@@ -39,6 +40,16 @@ def test_schedule_output_and_json(tmp_path, capsys):
     rows = json.loads(jpath.read_text())
     assert total == sum(r["cycles"] for r in rows)
     assert any(l.startswith("reduction_vs_two_bit") for l in out.splitlines())
+
+
+def test_schedule_matches_golden(tmp_path, capsys):
+    # goldens of the GA-2.0 (64,32) code pin the printed and JSON formats
+    jpath = tmp_path / "sched.json"
+    rc, out, _ = run_cli(capsys, "schedule", "--n", "64", "--k", "32", "--design-snr", "2.0",
+                         "--json", str(jpath))
+    assert rc == 0
+    assert out == (DATA_DIR / "schedule_ga64_32.txt").read_text() + f"wrote {jpath}\n"
+    assert jpath.read_text() == (DATA_DIR / "schedule_ga64_32.json").read_text()
 
 
 def test_schedule_no_precompute_costs_more(capsys):
@@ -107,7 +118,8 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
                                    ("--ebn0", "1e6"), ("--ebn0=-1e6",), ("--ebn0", "nan"),
                                    ("--ebn0", "2", "--seed", "-1"),
                                    ("--ebn0", "2", "--seed", str(2**64)),
-                                   ("--ebn0", "5:5:1e-300")])
+                                   ("--ebn0", "5:5:1e-300"),
+                                   ("--ebn0", "2", "--workers", "0")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1
@@ -161,6 +173,16 @@ def test_quantized_ber_smoke(capsys):
                          "--quant", "4,5,0", "--decoder", "hw",
                          "--min-frame-errors", "2", "--max-frames", "300")
     assert rc == 0
+
+
+def test_ber_hw_defaults_to_the_tree_spec(capsys):
+    def csv(*extra):
+        rc, out, _ = run_cli(capsys, "ber", "--n", "16", "--k", "8", "--decoder", "hw",
+                             "--ebn0", "3", "--max-frames", "200", *extra)
+        assert rc == 0
+        return out
+
+    assert csv() == csv("--quant", "4,5,0")
 
 
 def test_errors_exit_one(capsys):

@@ -157,6 +157,14 @@ def test_frozen_file_rejects_malformed(tmp_path, text):
         read_frozen_file(path)
 
 
+def test_frozen_file_caps_n_before_allocating(tmp_path):
+    # K = N needs no index line; the cap must fire before the 2**21 mask exists
+    path = tmp_path / "big.txt"
+    path.write_text("2097152 2097152\n")
+    with pytest.raises(ValueError, match="cap"):
+        read_frozen_file(path)
+
+
 def test_rate_and_index_properties():
     code = construct_code(32, 8, 2.0)
     assert code.n == 5

@@ -27,27 +27,19 @@ from oracles import comparator_fold_argmin, rep_ml_word, spc_ml_optima
 
 
 def kinds_by_preorder(code):
-    out = []
-
-    def walk(node):
-        out.append((node.stage, node.offset, node.kind))
-        for child in node.children:
-            walk(child)
-
-    walk(classify_tree(code))
-    return out
+    return [(node.stage, node.offset, node.kind) for node in classify_tree(code)]
 
 
 def test_classification_pure_nodes():
     rate1 = PolarCode.from_frozen_mask(np.zeros(8, dtype=bool))
-    assert classify_tree(rate1).kind is NodeKind.RATE1
+    assert classify_tree(rate1)[0].kind is NodeKind.RATE1
     spc = PolarCode.from_frozen_mask(np.array([True] + [False] * 7))
-    assert classify_tree(spc).kind is NodeKind.SPC
+    assert classify_tree(spc)[0].kind is NodeKind.SPC
     rep = PolarCode.from_frozen_mask(np.array([True] * 7 + [False]))
-    assert classify_tree(rep).kind is NodeKind.REP
-    # an all-frozen subtree shows up one level down
+    assert classify_tree(rep)[0].kind is NodeKind.REP
+    # an all-frozen subtree shows up one level down, as the root's left child
     half = PolarCode.from_frozen_mask(np.array([1, 1, 1, 1, 0, 1, 0, 0], dtype=bool))
-    assert classify_tree(half).children[0].kind is NodeKind.RATE0
+    assert classify_tree(half)[1].kind is NodeKind.RATE0
 
 
 def test_classification_split_example():
@@ -75,24 +67,17 @@ def test_classification_mixed_example():
 def test_classification_size2_pairs():
     # [1,0] pairs decode as repetition, [0,1] splits into two leaves
     rep2 = PolarCode.from_frozen_mask(np.array([True, False]))
-    assert classify_tree(rep2).kind is NodeKind.REP
+    assert classify_tree(rep2)[0].kind is NodeKind.REP
     odd = PolarCode.from_frozen_mask(np.array([False, True]))
-    tree = classify_tree(odd)
-    assert tree.kind is NodeKind.BRANCH
-    assert [c.stage for c in tree.children] == [0, 0]
+    nodes = classify_tree(odd)
+    assert nodes[0].kind is NodeKind.BRANCH
+    assert [c.stage for c in nodes[1:]] == [0, 0]
 
 
 def test_node_ids_are_unique_preorder(rng):
     code = random_code(64, rng)
-    seen = []
-
-    def walk(n):
-        seen.append(n.node_id)
-        for c in n.children:
-            walk(c)
-
-    walk(classify_tree(code))
-    assert seen == sorted(set(seen))
+    nodes = classify_tree(code)
+    assert [n.node for n in nodes] == list(range(len(nodes)))
 
 
 def test_fold_argmin_matches_argmin_when_unique(rng):
@@ -289,18 +274,15 @@ def test_fast_rejects_unknown_tie_mode(rng):
 
 
 def test_node_cycles_table():
-    from fastssc import DecodeNode
-
-    mk = lambda kind, stage: DecodeNode(0, stage, 0, kind)
-    assert node_cycles(mk(NodeKind.BRANCH, 3)) == 1
-    assert node_cycles(mk(NodeKind.BRANCH, 3), precompute=False) == 2
-    assert node_cycles(mk(NodeKind.RATE0, 2)) == 1
-    assert node_cycles(mk(NodeKind.RATE1, 2)) == 1
-    assert node_cycles(mk(NodeKind.SPC, 4)) == 5
-    assert node_cycles(mk(NodeKind.REP, 4)) == 4
+    assert node_cycles(NodeKind.BRANCH, 3) == 1
+    assert node_cycles(NodeKind.BRANCH, 3, precompute=False) == 2
+    assert node_cycles(NodeKind.RATE0, 2) == 1
+    assert node_cycles(NodeKind.RATE1, 2) == 1
+    assert node_cycles(NodeKind.SPC, 4) == 5
+    assert node_cycles(NodeKind.REP, 4) == 4
     # single-bit leaves ride along with the parent update
-    assert node_cycles(mk(NodeKind.RATE0, 0)) == 0
-    assert node_cycles(mk(NodeKind.RATE1, 0)) == 0
+    assert node_cycles(NodeKind.RATE0, 0) == 0
+    assert node_cycles(NodeKind.RATE1, 0) == 0
 
 
 def test_latency_unprunable_tree_is_n_minus_1():

@@ -15,6 +15,7 @@ from fastssc import (
     latency_model,
     write_trace_jsonl,
 )
+from fastssc.fast import _plan
 from conftest import DATA_DIR, noisy_int_llr, random_code
 
 SPEC = QuantSpec(4, 5, 0)
@@ -119,6 +120,15 @@ def test_hw_schedule_is_built_once_and_immutable(rng):
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.entries[0].cycles = 0
     assert isinstance(first.entries, tuple)
+
+
+def test_walk_and_trace_share_one_node_table(rng):
+    code = construct_code(64, 32, 2.0)
+    nodes = classified(code)
+    assert nodes is _plan(code).entries
+    _, llr = noisy_int_llr(code, rng, frames=2)
+    hw = hw_decode_frame(PuTree(64, SPEC), code, llr, trace=True)
+    assert all(a is b for a, b in zip(hw.cycle_trace.entries, nodes, strict=True))
 
 
 def test_decoding_caches_one_private_attribute(rng):

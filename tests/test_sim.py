@@ -197,15 +197,18 @@ def test_csv_format():
 def test_resolve_workers_env(monkeypatch):
     # resolve_workers only computes a count; no pool is started here
     monkeypatch.setattr("os.cpu_count", lambda: 8)
-    monkeypatch.delenv("FASTSSC_THREADS", raising=False)
-    assert resolve_workers(None) == 1
+    assert resolve_workers(1) == 1
     assert resolve_workers(3) == 3
     assert resolve_workers(10**6) == 8
-    monkeypatch.setenv("FASTSSC_THREADS", "5")
-    assert resolve_workers(None) == 5
-    monkeypatch.setenv("FASTSSC_THREADS", str(10**6))
-    assert resolve_workers(None) == 8
-    monkeypatch.setenv("FASTSSC_THREADS", "0")
-    assert resolve_workers(None) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert resolve_workers(4) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_counts_below_one_are_rejected(workers):
+    # the count is checked before any frame is drawn or any pool is started
+    code = construct_code(16, 8, 2.0)
+    with pytest.raises(ValueError, match="workers"):
+        resolve_workers(workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_point(code, ChannelConfig(2.0, code.rate), workers=workers)
