@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
 import numpy as np
 
 from . import core, fast, hw, sim
-from .core import MAX_N
 from .quant import QuantSpec
 from .reference import sc_latency_cycles, two_bit_precomputed_cycles
 
@@ -23,30 +23,36 @@ def _add_code_args(p):
     p.add_argument("--frozen-file", help="frozen-set file overriding --n/--k construction")
 
 
+def _add_decoder_args(p):
+    p.add_argument("--decoder", choices=["sc", "fast-ssc", "hw"], default="fast-ssc")
+    p.add_argument("--quant", help="fixed-point spec 'C,L,F', e.g. 4,5,0 (the hw default)")
+    p.add_argument("--tie-mode", choices=["exact", "hardware"], default="exact")
+    p.add_argument("--seed", type=int, default=0)
+
+
 MAX_CHUNK_VALUES = 2**25
 MAX_RANGE_POINTS = 1000
 
 
-def _check_size(N, frames):
-    if N > MAX_N:
-        raise ValueError(f"N={N} is above the cap of {MAX_N}")
+def _check_chunk(N, frames):
     if frames * N > MAX_CHUNK_VALUES:
         raise ValueError(f"a chunk of {frames} frames of N={N} holds more than "
                          f"{MAX_CHUNK_VALUES} values")
 
 
 def _resolve_code(args, frames=1):
-    """The code of --frozen-file or --n/--k, checked against the size caps.
+    """The code of --frozen-file or --n/--k, checked against the chunk cap.
 
-    ``frames`` is how many of its frames one chunk holds at once.
+    ``frames`` is how many of its frames one chunk holds at once.  The code
+    constructors check N against ``core.MAX_N``.
     """
     if args.frozen_file:
         code = core.read_frozen_file(args.frozen_file)
-        _check_size(code.N, frames)
+        _check_chunk(code.N, frames)
         return code
     if args.n is None or args.k is None:
         raise ValueError("provide --frozen-file or both --n and --k")
-    _check_size(args.n, frames)
+    _check_chunk(args.n, frames)
     return core.construct_code(args.n, args.k, args.design_snr, method=args.method)
 
 
@@ -57,9 +63,11 @@ def parse_ebn0(text):
         token = token.strip()
         if ":" in token:
             lo, hi, step = (float(t) for t in token.split(":"))
-            if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or lo + step == lo:
-                raise ValueError(f"Eb/N0 range {token!r} needs finite bounds and a step > 0 "
-                                 "that moves lo")
+            # points are rounded to 1e-6 dB, so a finer step would repeat them
+            if (not all(math.isfinite(v) for v in (lo, hi, step)) or hi < lo
+                    or step < 1e-6 or lo + step == lo):
+                raise ValueError(f"Eb/N0 range {token!r} needs finite bounds, hi >= lo and a "
+                                 "step of at least 1e-6 dB that moves lo")
             # points lo + i * step up to hi, with a 1e-9 dB tolerance at hi
             span = (hi - lo + 1e-9) / step
             if span >= MAX_RANGE_POINTS:
@@ -143,7 +151,7 @@ def cmd_decode(args):
         tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
         llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
     if args.decoder == "hw":
-        tree = hw.PuTree(code.N) if quant is None else hw.PuTree(code.N, quant)
+        tree = hw.PuTree(code.N, quant)
         result = hw.hw_decode_frame(tree, code, llr, trace=bool(args.trace))
         if args.trace:
             hw.write_trace_jsonl(args.trace, result)
@@ -165,18 +173,19 @@ def cmd_ber(args):
     code = _resolve_code(args, args.batch)
     quant = QuantSpec.from_string(args.quant) if args.quant else None
     stop = sim.StopRule(args.min_frame_errors, args.max_frames)
-    rows = sim.run_ber_sweep(
-        code, parse_ebn0(args.ebn0), decoder=args.decoder.replace("-", "_"),
-        quant=quant, tie_mode=args.tie_mode, stop=stop, seed=args.seed,
-        batch=args.batch, workers=args.workers,
-    )
-    for ebn0, st in rows:
-        print(f"ebn0_db={ebn0} frames={st.frames} ber={st.ber:.3e} fer={st.fer:.3e}")
+    points = parse_ebn0(args.ebn0)
+    # a bad --out path fails here, not after the sweep
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        rows = sim.run_ber_sweep(
+            code, points, decoder=args.decoder.replace("-", "_"),
+            quant=quant, tie_mode=args.tie_mode, stop=stop, seed=args.seed,
+            batch=args.batch, workers=args.workers,
+        )
+        for ebn0, st in rows:
+            print(f"ebn0_db={ebn0} frames={st.frames} ber={st.ber:.3e} fer={st.fer:.3e}")
+        fh.write(sim.stats_csv_text(rows))
     if args.out:
-        sim.write_stats_csv(args.out, rows)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(sim.stats_csv_text(rows))
     return 0
 
 
@@ -201,23 +210,17 @@ def build_parser():
 
     p = sub.add_parser("decode", help="decode frames from a file or a seeded random channel")
     _add_code_args(p)
-    p.add_argument("--decoder", choices=["sc", "fast-ssc", "hw"], default="fast-ssc")
-    p.add_argument("--quant", help="fixed-point spec 'C,L,F', e.g. 4,5,0 (the hw default)")
-    p.add_argument("--tie-mode", choices=["exact", "hardware"], default="exact")
+    _add_decoder_args(p)
     p.add_argument("--frame-file", help="text file, one whitespace-separated LLR frame per line")
     p.add_argument("--ebn0", type=float, default=2.0, help="channel Eb/N0 for random frames")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=int, default=1, help="number of random frames")
     p.add_argument("--trace", help="write per-cycle JSON lines (hw decoder only)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep")
     _add_code_args(p)
-    p.add_argument("--decoder", choices=["sc", "fast-ssc", "hw"], default="fast-ssc")
-    p.add_argument("--quant", help="fixed-point spec 'C,L,F' (hw default 4,5,0)")
-    p.add_argument("--tie-mode", choices=["exact", "hardware"], default="exact")
+    _add_decoder_args(p)
     p.add_argument("--ebn0", required=True, help="comma list and/or lo:hi:step ranges, in dB")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-frame-errors", type=int, default=200)
     p.add_argument("--max-frames", type=int, default=10_000_000)
     p.add_argument("--batch", type=int, default=2048)

@@ -14,7 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MAX_N = 2**20  # largest block length a frozen-set file or the CLI may ask for
+MAX_N = 2**20  # largest block length any code constructor accepts
+
+
+def _check_size(N, K):
+    """Raise ValueError unless N is a power of 2 up to MAX_N and 1 <= K <= N."""
+    if N < 1 or N & (N - 1):
+        raise ValueError(f"N must be a power of 2, got {N}")
+    if N > MAX_N:
+        raise ValueError(f"N={N} is above the cap of {MAX_N}")
+    if not (1 <= K <= N):
+        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +45,7 @@ class PolarCode:
     construction: CodeConstruction = field(default=CodeConstruction("manual"))
 
     def __post_init__(self):
-        if self.N < 1 or self.N & (self.N - 1):
-            raise ValueError(f"N must be a power of 2, got {self.N}")
-        if not (1 <= self.K <= self.N):
-            raise ValueError(f"need 1 <= K <= N, got K={self.K}, N={self.N}")
+        _check_size(self.N, self.K)
         # A private read-only copy: decoding caches the classified tree on the code.
         self.frozen = np.array(self.frozen, dtype=bool)
         self.frozen.flags.writeable = False
@@ -143,7 +150,7 @@ def construct_code(N, K, design_snr_db, method="ga"):
     Parameters
     ----------
     N : int
-        Block length, a power of two.
+        Block length, a power of two, at most ``MAX_N``.
     K : int
         Number of information bits, 1 <= K <= N.
     design_snr_db : float
@@ -158,10 +165,7 @@ def construct_code(N, K, design_snr_db, method="ga"):
         The N - K least reliable synthetic positions are frozen.  Ties in the
         reliability metric freeze the lower index first.
     """
-    if N < 1 or N & (N - 1):
-        raise ValueError(f"N must be a power of 2, got {N}")
-    if not (1 <= K <= N):
-        raise ValueError(f"need 1 <= K <= N, got K={K}, N={N}")
+    _check_size(N, K)
     rate = K / N
     if method == "ga":
         mu = _ga_means(N, rate, design_snr_db)
@@ -234,8 +238,7 @@ def read_frozen_file(path):
     if len(head) != 2:
         raise ValueError(f"first line must be 'N K', got {lines[0]!r}")
     N, K = int(head[0]), int(head[1])
-    if N > MAX_N:
-        raise ValueError(f"N={N} is above the cap of {MAX_N}")
+    _check_size(N, K)
     body = lines[1].split() if len(lines) > 1 else []
     indices = np.array(sorted(int(t) for t in body), dtype=np.int64)
     if len(indices) != N - K:

@@ -239,7 +239,7 @@ def _plan(code):
     """The code's node table as an immutable schedule report, cached on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        plan = code._decode_plan = ScheduleReport(code.N, classify_tree(code))
+        plan = code._decode_plan = ScheduleReport(classify_tree(code))
     return plan
 
 
@@ -269,18 +269,17 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
     """
     if tie_mode not in ("exact", "hardware"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    alpha, single = prepare_llr(llr, code.N, spec)
-    result = _walk(code, alpha, spec, tie_mode)
-    if single:
-        return DecodeResult(result.u_hat[0], result.x_hat[0])
-    return result
+    return _walk(code, llr, spec, tie_mode)
 
 
-def _walk(code, alpha, spec, tie_mode, hook=None):
-    """Decode a (batch, N) block depth-first over the classified tree.
+def _walk(code, llr, spec, tie_mode, hook=None):
+    """Decode one frame or a (batch, N) block depth-first over the classified tree.
 
-    ``hook(node, op, inp, out)``, when given, sees every update in decode
-    order.  A branch reports ``op="f"`` with its LLRs in and the left
+    The LLRs go through :func:`~fastssc.reference.prepare_llr` with ``spec``,
+    and the result has the input's shape: one frame in, one frame out.
+
+    ``hook(node, op, inp, out)``, when given, sees every (batch, size) update
+    in decode order.  A branch reports ``op="f"`` with its LLRs in and the left
     child's LLRs out, then ``op="g"`` with the left child's estimate in and
     the right child's LLRs out.  A leaf reports its kind's value with its
     LLRs in and its codeword estimate out.
@@ -288,9 +287,10 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
     Each visit takes the next node of the preorder table, so a branch's
     children are the nodes its two recursive visits take.
 
-    Returns a batched :class:`DecodeResult`.  The transform is its own
-    inverse, so one transform of the root estimate gives ``u_hat``.
+    The transform is its own inverse, so one transform of the root estimate
+    gives ``u_hat``.
     """
+    alpha, single = prepare_llr(llr, code.N, spec)
     batch = alpha.shape[0]
     nodes = iter(classified(code))
 
@@ -325,14 +325,14 @@ def _walk(code, alpha, spec, tie_mode, hook=None):
         return beta
 
     x_hat = visit(alpha)
-    return DecodeResult(polar_transform(x_hat), x_hat)
+    u_hat = polar_transform(x_hat)
+    return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
 
 
 @dataclass(frozen=True)
 class ScheduleReport:
     """Cycle accounting for one decode of one code, nodes in visit order."""
 
-    N: int
     entries: tuple = ()
 
     @property
@@ -372,7 +372,7 @@ def latency_model(nodes, precompute=True):
     nodes = tuple(nodes)
     if not precompute:
         nodes = tuple(replace(n, cycles=node_cycles(n.kind, n.stage, False)) for n in nodes)
-    return ScheduleReport(1 << nodes[0].stage, nodes)
+    return ScheduleReport(nodes)
 
 
 def latency_reduction_sweep(N, rates, design_snr_db):

@@ -32,17 +32,20 @@ import numpy as np
 
 from .fast import ScheduleReport, _plan, _walk, fold_argmin, rep_sum
 from .quant import QuantSpec
-from .reference import hard_decision, prepare_llr
+from .reference import DecodeResult, hard_decision
 
 
 class PuTree:
-    """Processing resource for one code length: layers of PUs plus a tracer."""
+    """Processing resource for one code length: layers of PUs plus a tracer.
 
-    def __init__(self, N, spec=QuantSpec(4, 5, 0)):
+    ``spec`` is the datapath's fixed-point format, ``4,5,0`` when None.
+    """
+
+    def __init__(self, N, spec=None):
         if N < 2 or N & (N - 1):
             raise ValueError(f"N must be a power of 2 >= 2, got {N}")
         self.N = N
-        self.spec = spec
+        self.spec = QuantSpec(4, 5, 0) if spec is None else spec
 
 
 def _tracer(rows, spec):
@@ -99,11 +102,9 @@ def _tracer(rows, spec):
 
 
 @dataclass
-class HwDecodeResult:
+class HwDecodeResult(DecodeResult):
     """Datapath decode output plus its cycle accounting."""
 
-    u_hat: np.ndarray
-    x_hat: np.ndarray
     cycle_trace: ScheduleReport
     trace_rows: list = field(default_factory=list)
 
@@ -132,14 +133,10 @@ def hw_decode_frame(tree, code, llr, trace=False):
     """
     if code.N > tree.N:
         raise ValueError(f"code length {code.N} exceeds tree width {tree.N}")
-    alpha, single = prepare_llr(llr, code.N, tree.spec)
     rows = []
     hook = _tracer(rows, tree.spec) if trace else None
-    result = _walk(code, alpha, tree.spec, "hardware", hook)
-    u_hat, x_hat = result.u_hat, result.x_hat
-    if single:
-        u_hat, x_hat = u_hat[0], x_hat[0]
-    return HwDecodeResult(u_hat, x_hat, _plan(code), rows)
+    result = _walk(code, llr, tree.spec, "hardware", hook)
+    return HwDecodeResult(result.u_hat, result.x_hat, _plan(code), rows)
 
 
 def write_trace_jsonl(path, result):

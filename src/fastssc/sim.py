@@ -142,7 +142,7 @@ def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
     if decoder == "fast_ssc":
         return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode).u_hat
     if decoder == "hw":
-        tree = PuTree(code.N) if quant is None else PuTree(code.N, quant)
+        tree = PuTree(code.N, quant)
         return lambda llr: hw_decode_frame(tree, code, llr).u_hat
     raise ValueError(f"unknown decoder {decoder!r}")
 
@@ -238,9 +238,3 @@ def stats_csv_text(rows):
         writer.writerow([ebn0, st.frames, st.bit_errors, st.frame_errors,
                          f"{st.ber:.6e}", f"{st.fer:.6e}"])
     return buf.getvalue()
-
-
-def write_stats_csv(path, rows):
-    """Write sweep results with the standard header."""
-    with open(path, "w", newline="") as fh:
-        fh.write(stats_csv_text(rows))

@@ -6,6 +6,7 @@ and must then pass its own oracle and cycle checks.  The files under
 ``perfbench/`` are only read.
 """
 
+import importlib
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import setup_probe  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -28,3 +30,11 @@ def test_workload_request_passes_its_checks(tmp_path, wl):
     checked, mismatched, cycles, cycle_errors = runner.check()
     assert (checked, mismatched, cycle_errors) == (workloads.GATE_FRAMES, 0, 0)
     assert cycles == runner.expected_cycles
+
+
+def test_traced_names_missing_from_the_library_are_known():
+    # The tracer skips a name the library lacks, and its metric then reads 0.
+    # These three were deleted from hw; a rename elsewhere must fail here.
+    missing = {f"{layer}.{name}" for layer, names in tracing.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"fastssc.{layer}"), name, None))}
+    assert missing == {"hw._scalarize", "hw.rep_hw_decode", "hw.spc_hw_decode"}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fastssc import construct_code, read_frozen_file
-from fastssc.cli import MAX_CHUNK_VALUES, MAX_N, MAX_RANGE_POINTS, main, parse_ebn0
+from fastssc.cli import MAX_CHUNK_VALUES, MAX_RANGE_POINTS, main, parse_ebn0
+from fastssc.core import MAX_N
 from conftest import DATA_DIR
 
 
@@ -98,6 +99,14 @@ def test_ber_csv_output(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_ber_out_fails_before_the_sweep(tmp_path, capsys):
+    rc, out, err = run_cli(capsys, "ber", "--n", "16", "--k", "8", "--ebn0", "2",
+                           "--max-frames", "100", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_ber_ebn0_range_syntax(capsys):
     rc, out, _ = run_cli(capsys, "ber", "--n", "16", "--k", "8", "--ebn0", "0:2:1",
                          "--min-frame-errors", "2", "--max-frames", "200")
@@ -106,7 +115,9 @@ def test_ber_ebn0_range_syntax(capsys):
 
 
 @pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan", "0:1:1e-6",
-                                 "0:1e300:1e-300", "5:5:1e-300", "0:0:1e-300"])
+                                 "0:1e300:1e-300", "5:5:1e-300", "0:0:1e-300",
+                                 # reversed, and finer than the 1e-6 dB rounding of points
+                                 "3:1:0.5", "1:1.000001:1e-8"])
 def test_parse_ebn0_rejects_bad_ranges(bad):
     with pytest.raises(ValueError):
         parse_ebn0(bad)
@@ -119,7 +130,8 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
                                    ("--ebn0", "2", "--seed", "-1"),
                                    ("--ebn0", "2", "--seed", str(2**64)),
                                    ("--ebn0", "5:5:1e-300"),
-                                   ("--ebn0", "2", "--workers", "0")])
+                                   ("--ebn0", "2", "--workers", "0"),
+                                   ("--ebn0", "2,3:1:0.5")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1

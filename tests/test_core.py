@@ -12,6 +12,7 @@ from fastssc import (
     read_frozen_file,
     write_frozen_file,
 )
+from fastssc import core
 from conftest import DATA_DIR
 from oracles import dense_transform
 
@@ -163,6 +164,19 @@ def test_frozen_file_caps_n_before_allocating(tmp_path):
     path.write_text("2097152 2097152\n")
     with pytest.raises(ValueError, match="cap"):
         read_frozen_file(path)
+
+
+def test_constructors_cap_n_first(monkeypatch):
+    def no_recursion(*args):
+        raise AssertionError("the reliability recursion ran")
+
+    monkeypatch.setattr(core, "_ga_means", no_recursion)
+    monkeypatch.setattr(core, "_bhattacharyya_params", no_recursion)
+    for method in ("ga", "bhattacharyya"):
+        with pytest.raises(ValueError, match="cap"):
+            construct_code(2 * core.MAX_N, 1, 2.0, method=method)
+    with pytest.raises(ValueError, match="cap"):
+        PolarCode(2 * core.MAX_N, 1, np.zeros(1, dtype=bool))
 
 
 def test_rate_and_index_properties():

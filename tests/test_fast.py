@@ -7,12 +7,14 @@ import pytest
 from fastssc import (
     NodeKind,
     PolarCode,
+    PuTree,
     QuantSpec,
     classified,
     classify_tree,
     construct_code,
     encode,
     fast_ssc_decode,
+    hw_decode_frame,
     latency_model,
     latency_reduction_sweep,
     node_cycles,
@@ -258,12 +260,17 @@ def test_fast_known_tie_case_hardware_vs_exact():
     assert (exact.u_hat == sc.u_hat).all()
 
 
-def test_fast_batch_matches_single_frames(rng):
+@pytest.mark.parametrize("decode", [
+    fast_ssc_decode,
+    lambda code, llr: hw_decode_frame(PuTree(code.N), code, llr),
+], ids=["fast_ssc_decode", "hw_decode_frame"])
+def test_fast_batch_matches_single_frames(rng, decode):
+    # both decoders take their single-frame unwrap from the shared walk
     code = random_code(32, rng)
     _, llr = noisy_float_llr(code, rng, frames=64)
-    batch = fast_ssc_decode(code, llr)
+    batch = decode(code, llr)
     for i in range(0, 64, 7):
-        one = fast_ssc_decode(code, llr[i])
+        one = decode(code, llr[i])
         assert (one.u_hat == batch.u_hat[i]).all()
 
 

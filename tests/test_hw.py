@@ -72,6 +72,10 @@ def test_hw_trace_jsonl_schema(tmp_path, rng):
     assert max(cycles) <= hw.cycle_trace.total_cycles
 
 
+def test_pu_tree_default_spec():
+    assert PuTree(16).spec == PuTree(16, None).spec == QuantSpec(4, 5, 0)
+
+
 def test_hw_requires_matching_tree_size(rng):
     code = construct_code(32, 16, 2.0)
     tree = PuTree(16, SPEC)
