@@ -11,7 +11,7 @@ import numpy as np
 
 from . import core, fast, hw, sim
 from .quant import QuantSpec
-from .reference import sc_latency_cycles, two_bit_precomputed_cycles
+from .fast import sc_latency_cycles, two_bit_precomputed_cycles
 
 
 def _add_code_args(p):
@@ -72,7 +72,10 @@ def parse_ebn0(text):
             span = (hi - lo + 1e-9) / step
             if span >= MAX_RANGE_POINTS:
                 raise ValueError(f"Eb/N0 range {token!r} has more than {MAX_RANGE_POINTS} points")
-            pts.extend(round(lo + i * step, 6) for i in range(math.floor(span) + 1))
+            points = [round(lo + i * step, 6) for i in range(math.floor(span) + 1)]
+            if len(set(points)) < len(points):  # a half-way value rounds either way
+                raise ValueError(f"Eb/N0 range {token!r} repeats points once rounded to 1e-6 dB")
+            pts.extend(points)
         elif token:
             pts.append(float(token))
     if not pts:
@@ -99,6 +102,9 @@ def cmd_schedule(args):
         # N = 1 has no decode tree, and its 2N - 2 baseline is 0 cycles
         raise ValueError(f"schedule needs N >= 2, got N={code.N}")
     report = fast.latency_model(fast.classified(code), precompute=not args.no_precompute)
+    if args.json:  # written first, so a bad path fails before anything is printed
+        with open(args.json, "w") as fh:
+            fh.write(report.to_json())
     for e in report.entries:
         print(f"node={e.node:5d} kind={e.kind.value:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")
     total = report.total_cycles
@@ -110,8 +116,6 @@ def cmd_schedule(args):
     print(f"reduction_vs_precomputed_{pre}={1 - total / pre:.4f}")
     print(f"reduction_vs_two_bit_{base:g}={1 - total / base:.4f}")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
         print(f"wrote {args.json}")
     return 0
 

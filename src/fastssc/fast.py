@@ -53,7 +53,6 @@ from .reference import (
     hard_decision,
     prepare_llr,
     sc_decode,
-    two_bit_precomputed_cycles,
 )
 
 
@@ -343,22 +342,50 @@ class ScheduleReport:
         return json.dumps([{**e.__dict__, "kind": e.kind.value} for e in self.entries], indent=2)
 
 
-def node_cycles(kind, stage, precompute=True):
-    """Cycle cost of one visit to a node of this kind and stage.
+@functools.cache
+def _node_steps(kind, stage):
+    """The scheduling plan: one ``(layer, unit, op)`` per cycle of one visit.
 
-    Single-bit leaves cost nothing: their decisions fall out of the parent's
-    update combinationally.  That keeps an unprunable tree at exactly the
-    N - 1 cycles of the precomputed schedule.
+    Single-bit leaves resolve inside the parent's update, which keeps an
+    unprunable tree at the N - 1 cycles of the precomputed schedule.
     """
     if stage == 0:
-        return 0
-    if kind is NodeKind.BRANCH:
-        return 1 if precompute else 2
-    if kind in (NodeKind.RATE0, NodeKind.RATE1):
-        return 1
+        return ()
+    rounds = range(stage - 1, -1, -1)
+    if kind is NodeKind.REP:
+        return tuple((s, "pu[*]", "rep_accumulate") for s in rounds)
     if kind is NodeKind.SPC:
-        return stage + 1
-    return stage  # REP
+        return tuple((s, "pu[*]", "spc_compare") for s in rounds) + ((0, "ptu[*]", "ptu_route"),)
+    if kind is NodeKind.BRANCH:
+        return ((stage - 1, "pu[*]", "f"),)
+    return ((stage - 1, "psg" if kind is NodeKind.RATE0 else "pu[*]", kind.value),)
+
+
+def node_cycles(kind, stage, precompute=True):
+    """Cycle cost of one visit: its steps in the plan, plus one per branch without precompute."""
+    return len(_node_steps(kind, stage)) + (kind is NodeKind.BRANCH and not precompute)
+
+
+def sc_latency_cycles(code, variant="conventional"):
+    """Cycle count of sequential SC schedules.
+
+    ``"conventional"`` charges separate check and variable updates (2N - 2);
+    ``"precomputed"`` computes both speculatively in one pass (N - 1).
+    """
+    if variant == "conventional":
+        return 2 * code.N - 2
+    if variant == "precomputed":
+        return code.N - 1
+    raise ValueError(f"unknown latency variant {variant!r}")
+
+
+def two_bit_precomputed_cycles(N):
+    """Latency of the stage-merged two-bit lookahead schedule: 0.75 N - 1.
+
+    This is the baseline that pruned-tree latency reductions are quoted
+    against.
+    """
+    return 0.75 * N - 1
 
 
 def latency_model(nodes, precompute=True):
@@ -366,8 +393,8 @@ def latency_model(nodes, precompute=True):
 
     ``nodes`` is a node table from :func:`classify_tree`, whose cycle column
     already holds the precomputed schedule; without precompute each branch
-    is re-costed.  The cycle-level datapath model clocks its trace from the
-    same table.
+    is re-costed.  The cycle-level datapath model's trace logs one row per
+    step of the same plan, so its cycles add up to the same total.
     """
     nodes = tuple(nodes)
     if not precompute:

@@ -18,9 +18,8 @@ Each PU owns the pieces the schedule multiplexes between:
 Constituent codes run on the same units and schedule as regular nodes, so the
 model is the pruned decode walk of :mod:`fastssc.fast` in hardware tie mode,
 in the tree's saturating fixed point.  Outputs are therefore bit-identical to
-``fast_ssc_decode(..., tie_mode="hardware")``; every visited node spends the
-cycles it carries in the code's classified node table, and those cycles also
-clock the first frame's per-cycle trace (exportable as JSON lines).
+``fast_ssc_decode(..., tie_mode="hardware")``; the first frame's per-cycle
+trace (JSON lines) logs each step of the plan that counts each node's cycles.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import ScheduleReport, _plan, _walk, fold_argmin, rep_sum
+from .fast import ScheduleReport, _node_steps, _plan, _walk, fold_argmin, rep_sum
 from .quant import QuantSpec
 from .reference import DecodeResult, hard_decision
 
@@ -49,10 +48,8 @@ class PuTree:
 
 
 def _tracer(rows, spec):
-    """Walk hook that logs the first frame's datapath, clocked by the nodes.
-
-    Each visited node's rows fill the cycles that node carries.
-    """
+    """Walk hook that logs the first frame's datapath: a row for each step of
+    each visited node's plan, and a g select row for each branch."""
     cycle = 0
 
     def log(at, stage, unit, op, ins, out):
@@ -61,44 +58,33 @@ def _tracer(rows, spec):
 
     def hook(node, op, inp, out):
         nonlocal cycle
-        layer = node.stage - 1
         if op == "g":
             # Both update candidates were banked in the f cycle, so the
             # select lands in the left child's last cycle.
-            log(cycle, layer, "pu[*]", "g_select", inp[0, 0].item(), out[0, 0].item())
+            log(cycle, node.stage - 1, "pu[*]", "g_select", inp[0, 0].item(), out[0, 0].item())
             return
-        if node.stage == 0:
-            steps = []  # single-bit decisions fall out of the parent's update
-        elif op == "f":
-            steps = [(layer, "pu[*]", "f", None, out[0, 0].item())]
-        elif op == "rate0":
-            steps = [(layer, "psg", "rate0", None, 0)]
-        elif op == "rate1":
-            steps = [(layer, "pu[*]", "rate1", None, None)]
-        else:
-            # The SPC comparator tree and the REP adder tree halve the lanes
-            # once per round.  After the round that leaves 2**s lanes, lane 0
-            # has combined every (2**s)-th input, in the kernel's own order.
-            frame0 = inp[:1]
-            steps = []
-            for s in range(layer, -1, -1):
-                lanes = frame0[:, :: 1 << s]
-                if op == "rep":
-                    steps.append((s, "pu[*]", "rep_accumulate", None, rep_sum(lanes, spec)[0].item()))
-                else:
-                    survivor = lanes[0, fold_argmin(np.abs(lanes))[0]]
-                    steps.append((s, "pu[*]", "spc_compare", None, survivor.item()))
-            if op == "spc":
-                # The parity then walks the PTU chain; the repair flips a bit
-                # exactly when the parity check fails.
-                parity = int((out[0] != hard_decision(frame0[0])).any())
-                steps.append((0, "ptu[*]", "ptu_route", parity, None))
-        clock = range(cycle + 1, cycle + node.cycles + 1)
-        for c, step in zip(clock, steps, strict=True):
-            log(c, *step)
-        cycle += node.cycles
+        for layer, unit, step in _node_steps(node.kind, node.stage):
+            cycle += 1
+            log(cycle, layer, unit, step, *_step_values(step, layer, inp[:1], out[:1], spec))
 
     return hook
+
+
+def _step_values(op, layer, inp, out, spec):
+    """The ``(in, out)`` a plan step logs for a node's (1, size) frame."""
+    if op in ("f", "rate0"):
+        return None, out[0, 0].item()
+    if op == "rate1":
+        return None, None
+    if op == "ptu_route":
+        # the repair flips a bit exactly when the parity check fails
+        return int((out != hard_decision(inp)).any()), None
+    # After the comparator or adder round that leaves 2**layer lanes, lane 0
+    # has combined every (2**layer)-th input, in the kernel's own order.
+    lanes = inp[:, :: 1 << layer]
+    if op == "rep_accumulate":
+        return None, rep_sum(lanes, spec)[0].item()
+    return None, lanes[0, fold_argmin(np.abs(lanes))[0]].item()
 
 
 @dataclass

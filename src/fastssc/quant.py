@@ -72,7 +72,10 @@ class QuantSpec:
 
 def saturate(values, bits):
     """Clamp integer values to the symmetric range of a ``bits``-bit word."""
+    values = np.asarray(values)
     lim = (1 << (bits - 1)) - 1
+    if values.dtype.kind == "i" and bits <= 8 * values.dtype.itemsize:
+        lim = values.dtype.type(lim)  # Python-int bounds cost np.clip two iinfo lookups
     return np.clip(values, -lim, lim)
 
 

@@ -147,24 +147,3 @@ def sc_decode(code, llr, spec=None):
         return DecodeResult(u_hat[0], x_hat[0])
     return DecodeResult(u_hat, x_hat)
 
-
-def sc_latency_cycles(code, variant="conventional"):
-    """Cycle count of sequential SC schedules.
-
-    ``"conventional"`` charges separate check and variable updates (2N - 2);
-    ``"precomputed"`` computes both speculatively in one pass (N - 1).
-    """
-    if variant == "conventional":
-        return 2 * code.N - 2
-    if variant == "precomputed":
-        return code.N - 1
-    raise ValueError(f"unknown latency variant {variant!r}")
-
-
-def two_bit_precomputed_cycles(N):
-    """Latency of the stage-merged two-bit lookahead schedule: 0.75 N - 1.
-
-    This is the baseline that pruned-tree latency reductions are quoted
-    against.
-    """
-    return 0.75 * N - 1

@@ -117,7 +117,9 @@ def test_ber_ebn0_range_syntax(capsys):
 @pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan", "0:1:1e-6",
                                  "0:1e300:1e-300", "5:5:1e-300", "0:0:1e-300",
                                  # reversed, and finer than the 1e-6 dB rounding of points
-                                 "3:1:0.5", "1:1.000001:1e-8"])
+                                 "3:1:0.5", "1:1.000001:1e-8",
+                                 # half-way points that round onto each other
+                                 "1.0000005:1.0000205:1e-6", "0.0000005:0.0001:1e-6"])
 def test_parse_ebn0_rejects_bad_ranges(bad):
     with pytest.raises(ValueError):
         parse_ebn0(bad)
@@ -131,7 +133,8 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
                                    ("--ebn0", "2", "--seed", str(2**64)),
                                    ("--ebn0", "5:5:1e-300"),
                                    ("--ebn0", "2", "--workers", "0"),
-                                   ("--ebn0", "2,3:1:0.5")])
+                                   ("--ebn0", "2,3:1:0.5"),
+                                   ("--ebn0", "1.0000005:1.0000205:1e-6")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1
@@ -154,6 +157,8 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     # size caps, checked before anything of that size is built
     ("construct", "--n", str(2 * MAX_N), "--k", "1"),
     ("schedule", "--n", str(2 * MAX_N), "--k", "1"),
+    # an unwritable --json path fails before the schedule is printed
+    ("schedule", "--json", "/nonexistent/x.json"),
     ("decode", "--frames", str(MAX_CHUNK_VALUES // 16 + 1)),
     ("ber", "--ebn0", "2", "--batch", str(MAX_CHUNK_VALUES // 16 + 1)),
 ])

@@ -89,6 +89,11 @@ GOLDEN_CODES = {
     "trace_ga64_32": construct_code(64, 32, 2.0),
     # nothing prunes: branches all the way down to single-bit leaves
     "trace_alt16": PolarCode.from_frozen_mask(np.tile([False, True], 8)),
+    # the headline GA-2.0 codes, one frame each: the first frame of a seed-0
+    # channel draw at 2.5 dB, quantized to 4,5,0, on which an SPC node of size
+    # >= 32 repairs parity (frame 11 for K = 512, frame 0 for K = 870)
+    "trace_ga1024_512": construct_code(1024, 512, 2.0),
+    "trace_ga1024_870": construct_code(1024, 870, 2.0),
 }
 
 
@@ -100,6 +105,12 @@ def test_hw_trace_matches_golden(tmp_path, name):
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(path, hw)
     assert path.read_text() == (DATA_DIR / f"{name}.jsonl").read_text()
+
+
+@pytest.mark.parametrize(("K", "cycles"), [(512, 372), (870, 217)])
+def test_headline_no_precompute_totals(K, cycles):
+    code = construct_code(1024, K, 2.0)
+    assert latency_model(classified(code), precompute=False).total_cycles == cycles
 
 
 def test_hw_trace_covers_every_cycle(rng):
