@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -72,14 +73,17 @@ def parse_ebn0(text):
             span = (hi - lo + 1e-9) / step
             if span >= MAX_RANGE_POINTS:
                 raise ValueError(f"Eb/N0 range {token!r} has more than {MAX_RANGE_POINTS} points")
-            points = [round(lo + i * step, 6) for i in range(math.floor(span) + 1)]
-            if len(set(points)) < len(points):  # a half-way value rounds either way
-                raise ValueError(f"Eb/N0 range {token!r} repeats points once rounded to 1e-6 dB")
-            pts.extend(points)
+            pts.extend(round(lo + i * step, 6) for i in range(math.floor(span) + 1))
         elif token:
             pts.append(float(token))
     if not pts:
         raise ValueError("no Eb/N0 points given")
+    # one seed per sweep, so a repeated point would rerun the same frames;
+    # a half-way value in a range can round onto its neighbour
+    repeats = [p for p, n in Counter(pts).items() if n > 1]
+    if repeats:
+        raise ValueError(f"Eb/N0 point {repeats[0]} dB appears more than once "
+                         "(range points are rounded to 1e-6 dB)")
     return pts
 
 
@@ -162,7 +166,8 @@ def cmd_decode(args):
         print(f"cycles={result.cycle_trace.total_cycles}")
         u_hat = result.u_hat
     else:
-        u_hat = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)(llr)
+        decode = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)
+        u_hat = decode(llr).u_hat
     for i, row in enumerate(u_hat):
         info = row[code.info_indices]
         print(f"frame={i} u_hat={_bits_str(row)}")

@@ -181,40 +181,61 @@ def construct_code(N, K, design_snr_db, method="ga"):
     return PolarCode(N, K, frozen, CodeConstruction(method, design_snr_db))
 
 
+# (shift, mask) of the in-word butterfly stages on little-endian 64-bit words:
+# the mask keeps the bits of each 2 * shift block's lower half.
+_WORD_STAGES = [(shift, np.uint64(mask)) for shift, mask in [
+    (1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F),
+    (8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)]]
+
+
 def polar_transform(bits):
     """Apply the GF(2) butterfly ``v -> v * G`` along the last axis.
 
-    Accepts a single vector or a batch of rows; the length must be a power of
-    two.  Applying the transform twice returns the input.
+    Accepts a single vector or rows with any leading axes; the length must be
+    a power of two.  Inputs are 0/1 bits (any integer or bool dtype; a nonzero
+    value counts as 1), and the output is ``uint8``.  Applying the transform
+    twice returns the input.
+
+    The bits are packed along the last axis into little-endian 64-bit words
+    (a length below 64 fills the low bits of one word), so the stages within
+    a word are shift-and-mask XORs and the stages above it XOR word blocks.
     """
     v = np.asarray(bits)
     n_bits = v.shape[-1]
     if n_bits < 1 or n_bits & (n_bits - 1):
         raise ValueError(f"length must be a power of 2, got {n_bits}")
-    x = np.ascontiguousarray(v.astype(np.uint8))
-    lead = x.shape[:-1]
-    step = 2
-    while step <= n_bits:
-        half = step // 2
-        blocks = x.reshape(lead + (n_bits // step, step))
-        blocks[..., :half] ^= blocks[..., half:]
-        step *= 2
-    return x.reshape(v.shape)
+    lead = v.shape[:-1]
+    # a contiguous buffer of whole words, so any input layout can be viewed as words
+    packed = np.zeros(lead + (max(n_bits // 8, 8),), dtype=np.uint8)
+    packed[..., : -(-n_bits // 8)] = np.packbits(v, axis=-1, bitorder="little")
+    w = packed.view("<u8")
+    for shift, mask in _WORD_STAGES[: n_bits.bit_length() - 1]:
+        w ^= (w >> shift) & mask
+    n_words = w.shape[-1]
+    half = 1
+    while half < n_words:
+        blocks = w.reshape(lead + (n_words // (2 * half), 2, half))
+        blocks[..., 0, :] ^= blocks[..., 1, :]
+        half *= 2
+    return np.unpackbits(w.view(np.uint8), axis=-1, count=n_bits, bitorder="little")
 
 
 def encode(code, message):
     """Encode information bits into a codeword.
 
-    Scatters ``message`` into the unfrozen positions of the message-domain
-    vector (frozen positions are zero) and applies the polar transform.
-    Accepts a single K-bit vector or a batch of rows.
+    Gathers the message-domain vector from ``message`` with a zero column
+    appended, so each frozen position reads the zero column, and applies the
+    polar transform.  Accepts a single K-bit vector or rows with any leading
+    axes; the bits are 0/1.
     """
     msg = np.asarray(message, dtype=np.uint8)
     if msg.shape[-1] != code.K:
         raise ValueError(f"message length must be K={code.K}, got {msg.shape[-1]}")
-    u = np.zeros(msg.shape[:-1] + (code.N,), dtype=np.uint8)
-    u[..., code.info_indices] = msg
-    return polar_transform(u)
+    # an info position reads its own message column, a frozen one the zero column K
+    src = np.where(code.frozen, code.K, np.cumsum(~code.frozen) - 1)
+    ext = np.zeros(msg.shape[:-1] + (code.K + 1,), dtype=np.uint8)
+    ext[..., : code.K] = msg
+    return polar_transform(ext.take(src, axis=-1))
 
 
 def write_frozen_file(path, code):

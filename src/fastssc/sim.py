@@ -136,14 +136,17 @@ def awgn_llr(codeword, cfg, noise):
 
 
 def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
-    """Bind a decoder name to a callable ``llr -> u_hat``."""
+    """Bind a decoder name to a callable ``llr -> DecodeResult``.
+
+    The result carries both ``u_hat`` and the codeword estimate ``x_hat``.
+    """
     if decoder == "sc":
-        return lambda llr: sc_decode(code, llr, quant).u_hat
+        return lambda llr: sc_decode(code, llr, quant)
     if decoder == "fast_ssc":
-        return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode).u_hat
+        return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode)
     if decoder == "hw":
         tree = PuTree(code.N, quant)
-        return lambda llr: hw_decode_frame(tree, code, llr).u_hat
+        return lambda llr: hw_decode_frame(tree, code, llr)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
@@ -155,15 +158,23 @@ def resolve_workers(workers):
 
 
 def _run_chunk(code, decode, cfg, first_frame, count):
+    """Error counts of frames [first_frame, first_frame + count).
+
+    A frame is in error exactly when its codeword estimate differs from the
+    sent codeword: every decoder returns ``x_hat = u_hat * G`` with ``u_hat``
+    zero on the frozen positions, and the transform is a bijection.  Only
+    those frames' message bits are compared.
+    """
     msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
     tx = encode(code, msgs)
     llr = awgn_llr(tx, cfg, noise=noise)
-    u_hat = decode(llr)
-    errs = (u_hat[:, code.info_indices] != msgs)
+    res = decode(llr)
+    bad = (res.x_hat != tx).any(axis=1)
+    bit_errors = int((res.u_hat[bad][:, code.info_indices] != msgs[bad]).sum())
     return TrialStats(
         frames=count,
-        bit_errors=int(errs.sum()),
-        frame_errors=int(errs.any(axis=1).sum()),
+        bit_errors=bit_errors,
+        frame_errors=int(bad.sum()),
         info_bits_per_frame=code.K,
     )
 

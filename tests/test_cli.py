@@ -119,7 +119,9 @@ def test_ber_ebn0_range_syntax(capsys):
                                  # reversed, and finer than the 1e-6 dB rounding of points
                                  "3:1:0.5", "1:1.000001:1e-8",
                                  # half-way points that round onto each other
-                                 "1.0000005:1.0000205:1e-6", "0.0000005:0.0001:1e-6"])
+                                 "1.0000005:1.0000205:1e-6", "0.0000005:0.0001:1e-6",
+                                 # a point repeated across tokens
+                                 "2,1:3:1", "2,2"])
 def test_parse_ebn0_rejects_bad_ranges(bad):
     with pytest.raises(ValueError):
         parse_ebn0(bad)
@@ -134,7 +136,8 @@ def test_parse_ebn0_rejects_bad_ranges(bad):
                                    ("--ebn0", "5:5:1e-300"),
                                    ("--ebn0", "2", "--workers", "0"),
                                    ("--ebn0", "2,3:1:0.5"),
-                                   ("--ebn0", "1.0000005:1.0000205:1e-6")])
+                                   ("--ebn0", "1.0000005:1.0000205:1e-6"),
+                                   ("--ebn0", "2,1:3:1"), ("--ebn0", "2,2")])
 def test_ber_bad_sweep_exits_one(capsys, extra):
     rc, _, err = run_cli(capsys, "ber", "--n", "8", "--k", "4", "--max-frames", "10", *extra)
     assert rc == 1

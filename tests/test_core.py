@@ -13,14 +13,31 @@ from fastssc import (
     write_frozen_file,
 )
 from fastssc import core
-from conftest import DATA_DIR
-from oracles import dense_transform
+from conftest import DATA_DIR, random_code
+from oracles import dense_transform, generator_matrix
 
 
 def test_transform_matches_dense_generator(rng):
-    for N in (1, 2, 4, 8, 16, 32, 64):
-        bits = rng.integers(0, 2, size=(40, N)).astype(np.uint8)
-        assert (polar_transform(bits) == dense_transform(bits)).all()
+    # past 64 the packed transform runs its word-block stages as well
+    for n in range(12):
+        N = 1 << n
+        bits = rng.integers(0, 2, size=(8, N)).astype(np.uint8)
+        assert (polar_transform(bits) == dense_transform(bits)).all(), N
+
+
+@pytest.mark.parametrize("N", [1, 8, 64, 256])
+def test_transform_keeps_shape_and_takes_any_bit_layout(rng, N):
+    bits = rng.integers(0, 2, size=(6, N)).astype(np.uint8)
+    want = dense_transform(bits).astype(np.uint8)
+    for shaped, expect in [(bits[0], want[0]), (bits, want),
+                           (bits.reshape(2, 3, N), want.reshape(2, 3, N)),
+                           (bits[:0], want[:0]),
+                           # a transposed view: not contiguous along the last axis
+                           (np.ascontiguousarray(bits.T).T, want),
+                           (bits.astype(bool), want), (bits.astype(np.int64), want)]:
+        out = polar_transform(shaped)
+        assert out.dtype == np.uint8 and out.shape == expect.shape
+        assert (out == expect).all()
 
 
 def test_transform_single_frame_shape(rng):
@@ -55,6 +72,19 @@ def test_encode_zero_message_gives_zero_codeword():
     code = PolarCode.from_frozen_mask(np.array([True] * 7 + [False]))
     x = encode(code, np.zeros((3, 1), dtype=np.uint8))
     assert not x.any()
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 64, 128, 512])
+def test_encode_matches_generator_matrix(rng, N):
+    G = generator_matrix(N).astype(np.int64)
+    for K in sorted({1, N, int(rng.integers(1, N + 1))}):
+        code = random_code(N, rng, K)
+        msgs = rng.integers(0, 2, size=(5, K)).astype(np.uint8)
+        u = np.zeros((5, N), dtype=np.int64)
+        u[:, code.info_indices] = msgs
+        want = (u @ G) % 2
+        assert (encode(code, msgs) == want).all()
+        assert (encode(code, msgs[0]) == want[0]).all()
 
 
 def test_encode_is_linear(rng):

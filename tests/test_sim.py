@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastssc import (
     ChannelConfig,
@@ -11,12 +12,14 @@ from fastssc import (
     awgn_llr,
     construct_code,
     encode,
+    polar_transform,
     run_ber_sweep,
     run_point,
     stats_csv_text,
     throughput_gbps,
 )
-from fastssc.sim import draw_messages_and_noise, resolve_workers
+from fastssc.sim import _run_chunk, draw_messages_and_noise, make_decoder, resolve_workers
+from conftest import noisy_float_llr, noisy_int_llr, random_code
 
 
 def test_noise_variance_formula():
@@ -158,6 +161,54 @@ def test_decoders_agree_on_error_counts():
     a = run_point(code, cfg, decoder="fast_ssc", quant=q, tie_mode="hardware", stop=stop)
     b = run_point(code, cfg, decoder="hw", quant=q, stop=stop)
     assert (a.bit_errors, a.frame_errors) == (b.bit_errors, b.frame_errors)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.sampled_from(["one", "all", "random"]),
+       raw=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       decoder=st.sampled_from([("sc", "exact"), ("fast_ssc", "exact"),
+                                ("fast_ssc", "hardware"), ("hw", "hardware")]))
+def test_decoders_return_codewords_so_chunks_count_on_them(n, k, raw, seed, decoder):
+    # _run_chunk calls a frame bad when x_hat differs from the sent codeword;
+    # that matches the message-bit count only while u_hat is 0 on the frozen
+    # positions and x_hat is its transform
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    code = random_code(N, rng, {"one": 1, "all": N}.get(k))
+    name, tie_mode = decoder
+    spec = QuantSpec(4, 5, 0) if raw else None  # hw quantizes floats with its default spec
+    decode = make_decoder(code, name, spec, tie_mode)
+    _, llr = (noisy_int_llr if raw else noisy_float_llr)(code, rng, 24)
+    res = decode(llr)
+    assert not res.u_hat[:, code.frozen].any()
+    assert (res.x_hat == polar_transform(res.u_hat)).all()
+
+    cfg = ChannelConfig(float(rng.uniform(-1.0, 3.0)), code.rate, seed)
+    first = int(rng.integers(0, 200))
+    msgs, noise = draw_messages_and_noise(cfg, code.K, N, first, 40)
+    errs = decode(awgn_llr(encode(code, msgs), cfg, noise)).u_hat[:, code.info_indices] != msgs
+    got = _run_chunk(code, decode, cfg, first, 40)
+    assert (got.frames, got.bit_errors, got.frame_errors) == (
+        40, int(errs.sum()), int(errs.any(axis=1).sum()))
+
+
+# (frames, bit_errors, frame_errors) as the harness counted them on u_hat's
+# message bits, before it counted frame errors on the codeword
+@pytest.mark.parametrize("k, ebn0, decoder, quant, frames, batch, workers, want", [
+    (512, 1.5, "fast_ssc", None, 2000, 1000, 1, (2000, 85822, 639)),
+    (512, 2.0, "fast_ssc", None, 2000, 1000, 1, (2000, 17234, 162)),
+    (870, 3.0, "fast_ssc", "4,5,0", 2000, 1000, 1, (2000, 393329, 1477)),
+    (512, 2.0, "hw", "4,5,0", 500, 500, 1, (500, 5928, 51)),
+    # 700 + 700 + a partial chunk of 100
+    (512, 1.5, "fast_ssc", None, 1500, 700, 1, (1500, 63832, 481)),
+    (512, 1.5, "fast_ssc", None, 1500, 700, 2, (1500, 63832, 481)),
+])
+def test_run_point_golden_error_counts(k, ebn0, decoder, quant, frames, batch, workers, want):
+    code = construct_code(1024, k, 2.0)
+    stats = run_point(code, ChannelConfig(ebn0, code.rate, seed=11), decoder=decoder,
+                      quant=QuantSpec.from_string(quant) if quant else None,
+                      stop=StopRule(10**9, frames), batch=batch, workers=workers)
+    assert (stats.frames, stats.bit_errors, stats.frame_errors) == want
 
 
 def test_stop_rule_halts_on_frame_errors():
