@@ -11,8 +11,25 @@ traversed:
 * ``SPC``: only the first position frozen; threshold detection, then flip the
   least reliable bit if the parity check fails.
 
-Everything else stays a ``BRANCH`` and recurses with the min-sum updates from
-:mod:`fastssc.reference`.
+Everything else stays a ``BRANCH``, split with the min-sum f and g updates.
+
+Decode plan
+-----------
+Each code's node table is compiled once into a flat list of ops in decode
+order (:func:`_plan`): a branch gives an f update before its left subtree, a
+g update before its right subtree and a combine after it, and a leaf gives
+its shortcut decode.  One loop runs that list, for both tie modes and for the
+datapath model, in float and fixed point.  Each op is a kernel writing with
+``out=`` into buffers made per call, frames along the columns, in the
+per-stage memory layout of Leroux et al. (IEEE TSP 2013):
+
+* one LLR buffer per stage, so a node's halves are contiguous row blocks;
+* one codeword buffer of 0/-1 masks, where each node owns its positions' rows.
+
+The rows after a stage's buffer belong to the deeper stages, which are dead
+while that stage is worked on, so they double as its scratch.  A rate-0
+node's estimate is the codeword buffer's initial zeros, so the update that
+feeds it is skipped unless a hook watches the walk.
 
 Tie resolution
 --------------
@@ -39,21 +56,12 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import PolarCode, construct_code, polar_transform
-from .quant import sat_add
-from .reference import (
-    DecodeResult,
-    combine_beta,
-    f_min_sum,
-    g_function,
-    hard_decision,
-    prepare_llr,
-    sc_decode,
-)
+from .reference import DecodeResult, hard_decision, prepare_llr, sc_decode
 
 
 class NodeKind(enum.Enum):
@@ -154,45 +162,90 @@ def _bit_reversal(size):
     return rev
 
 
+def _hard_masks(a, out):
+    """Hard decisions of ``a`` as 0/-1 masks into ``out``: -1 where a < 0."""
+    np.less(a, 0, out=out)
+    np.negative(out, out=out)
+
+
+def _spc_into(a, out, scratch, tie_check=False):
+    """Single-parity-check decode of a (size, batch) block into 0/-1 masks.
+
+    Thresholds, then the parity repair flips the minimum |LLR| that
+    :func:`fold_argmin` finds, which is a first-occurrence argmin over the
+    rows taken in bit-reversed order into ``scratch``.  With ``tie_check``,
+    returns the columns :func:`_spc_tie_risk` flags, from the same
+    magnitudes, minimum and parity.
+    """
+    _hard_masks(a, out)
+    parity = np.bitwise_xor.reduce(out, axis=0)
+    order = _bit_reversal(len(a))
+    mags = a.take(order, axis=0, out=scratch, mode="wrap")
+    np.abs(mags, out=mags)
+    lane = mags.argmin(axis=0)
+    cols = np.arange(a.shape[1])
+    out[order[lane], cols] ^= parity
+    if tie_check:
+        low = mags[lane, cols]
+        return (low == 0) | ((parity != 0) & (np.count_nonzero(mags == low, axis=0) > 1))
+
+
+def _rep_into(a, out, scratch, spec=None):
+    """Repetition decode of a (size, batch) block into 0/-1 masks: the sign
+    of each column's sum, replicated.  Returns the (1, batch) sums.
+
+    The sum is accumulated in ``scratch`` pairwise over strides of half the
+    node length, saturating at each level when a quantization spec is given.
+    That is the exact order the plain SC recursion (and the adder tree in the
+    datapath model) accumulates it in, which keeps all three bit-identical.
+    """
+    lim = None if spec is None else a.dtype.type(spec.internal_limit)
+    while len(a) > 1:
+        half = len(a) // 2
+        a = np.add(a[:half], a[half:], out=scratch[:half])
+        if lim is not None:
+            a.clip(-lim, lim, out=a)
+    _hard_masks(a, out[:1])
+    out[1:] = out[0]
+    return a
+
+
+def _on_rows(kernel, alpha, *args):
+    """Run a column kernel on a (batch, size) block.
+
+    Returns the block's 0/1 codeword estimate and what the kernel returned.
+    """
+    a = np.asarray(alpha).T
+    masks = np.empty(a.shape, dtype=np.int8)
+    result = kernel(a, masks, np.empty(a.shape, dtype=a.dtype), *args)
+    return np.negative(masks.T).view(np.uint8), result
+
+
 def decode_spc(alpha):
     """Single-parity-check decode of a (batch, size) block: thresholds plus a
     parity-repair flip.
 
     The flipped position is the minimum |LLR|, found by fold_argmin so ties
-    land where the comparator tree lands them.
+    land where the comparator tree lands them.  This is the decode plan's
+    kernel, run on one block.
     """
-    beta = hard_decision(alpha)
-    parity = np.bitwise_xor.reduce(beta, axis=1)
-    beta[np.arange(len(beta)), fold_argmin(np.abs(alpha))] ^= parity
-    return beta
+    return _on_rows(_spc_into, alpha)[0]
 
 
 def decode_rep(alpha, spec=None):
     """Repetition decode of a (batch, size) block: the sign of each row's LLR
     sum, replicated.
 
-    The sum comes from :func:`rep_sum`, in the order plain SC accumulates it.
+    The sum is :func:`rep_sum`'s; this is the decode plan's kernel, run on
+    one block.
     """
-    bit = hard_decision(rep_sum(alpha, spec))
-    return np.repeat(bit[:, None], alpha.shape[1], axis=1)
+    return _on_rows(_rep_into, alpha, spec)[0]
 
 
 def rep_sum(alpha, spec=None):
-    """Row sums of a (batch, size) block on the repetition adder tree.
-
-    The sum is accumulated pairwise over strides of half the node length,
-    saturating at each level when a quantization spec is given.  That is the
-    exact order the plain SC recursion (and the adder tree in the datapath
-    model) accumulates it in, which keeps all three bit-identical.
-    """
-    total = alpha
-    while total.shape[1] > 1:
-        half = total.shape[1] // 2
-        if spec is None:
-            total = total[:, :half] + total[:, half:]
-        else:
-            total = sat_add(total[:, :half], total[:, half:], spec)
-    return total[:, 0]
+    """Row sums of a (batch, size) block on the repetition adder tree, in the
+    order and with the saturation of :func:`_rep_into`."""
+    return _on_rows(_rep_into, alpha, spec)[1][0]
 
 
 def _rate1_tie_risk(alpha):
@@ -206,7 +259,8 @@ def _spc_tie_risk(alpha):
 
     A row is flagged when min|alpha| == 0, or when its hard-decision parity
     is odd and the minimum magnitude occurs at least twice.  Every other row
-    decodes under plain SC exactly as :func:`decode_spc` decodes it.
+    decodes under plain SC exactly as :func:`decode_spc` decodes it.  The
+    decode plan computes the flags inside the SPC kernel.
 
     Proof, by induction on the size.  Plain SC splits SPC(n) into SPC(n/2) on
     the f outputs and rate-1(n/2) on the g outputs; SPC(1) is a frozen bit,
@@ -227,18 +281,22 @@ def _spc_tie_risk(alpha):
     * Saturation clips to +-internal_limit >= 1: it never zeroes a value and
       never flips a sign.
     """
-    mags = np.abs(alpha)
-    low = mags.min(axis=1, keepdims=True)
-    odd = np.count_nonzero(alpha < 0, axis=1) % 2 == 1
-    repeated = np.count_nonzero(mags == low, axis=1) > 1
-    return (low[:, 0] == 0) | (odd & repeated)
+    return _on_rows(_spc_into, alpha, True)[1]
+
+
+def _transpose(src, dst):
+    """Copy ``src.T`` into ``dst``, in blocks of source rows that stay in cache."""
+    step = max(32, 16384 // max(src.shape[1], 1))
+    for i in range(0, len(src), step):
+        dst[:, i : i + step] = src[i : i + step].T
 
 
 def _plan(code):
-    """The code's node table as an immutable schedule report, cached on the code."""
+    """The code's :class:`DecodePlan`, compiled once and cached on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        plan = code._decode_plan = ScheduleReport(classify_tree(code))
+        nodes = classify_tree(code)
+        plan = code._decode_plan = DecodePlan(nodes, _compile(nodes))
     return plan
 
 
@@ -272,58 +330,94 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
 
 
 def _walk(code, llr, spec, tie_mode, hook=None):
-    """Decode one frame or a (batch, N) block depth-first over the classified tree.
+    """Decode one frame or a (batch, N) block by running the code's plan.
 
     The LLRs go through :func:`~fastssc.reference.prepare_llr` with ``spec``,
     and the result has the input's shape: one frame in, one frame out.
 
-    ``hook(node, op, inp, out)``, when given, sees every (batch, size) update
-    in decode order.  A branch reports ``op="f"`` with its LLRs in and the left
-    child's LLRs out, then ``op="g"`` with the left child's estimate in and
-    the right child's LLRs out.  A leaf reports its kind's value with its
-    LLRs in and its codeword estimate out.
+    ``hook(node, op, inp, out)``, when given, sees every update in decode
+    order.  Its arguments are (batch, size) views of the plan's buffers, or
+    for estimates 0/1 copies of its masks, valid only during the call.  A
+    branch reports ``op="f"`` with its LLRs in and the left child's LLRs out,
+    then ``op="g"`` with the left child's estimate in and the right child's
+    LLRs out.  A leaf reports its kind's value with its LLRs in and its
+    codeword estimate out.
 
-    Each visit takes the next node of the preorder table, so a branch's
-    children are the nodes its two recursive visits take.
+    f is ``max(min(a, b), -max(a, b))``, which equals min-sum exactly on
+    integers; on floats it can differ only in the sign of a zero, which no
+    decision reads.  g negates the far operand exactly: by the mask trick
+    ``(far ^ m) - m`` on integers, by a multiply by +-1 on floats.  Float
+    LLRs are bounded by float64 max / N, so no sum overflows.
 
     The transform is its own inverse, so one transform of the root estimate
     gives ``u_hat``.
     """
-    alpha, single = prepare_llr(llr, code.N, spec)
-    batch = alpha.shape[0]
-    nodes = iter(classified(code))
+    plan = _plan(code)
+    frames, single = prepare_llr(llr, code.N, spec)
+    batch, N = frames.shape
+    exact = tie_mode == "exact"
+    # Stage s's LLRs are rows [N - 2**(s+1), N - 2**s) of scratch, and the
+    # rows after them, the deeper stages', are its free rows.  The root has
+    # its own buffer.
+    scratch = np.empty((N, batch), dtype=frames.dtype)
+    alpha = [scratch[N - (2 << s) : N - (1 << s)] for s in range(code.n)]
+    alpha.append(np.empty((N, batch), dtype=frames.dtype))
+    _transpose(frames, alpha[-1])
+    free = [scratch[N - (1 << s) :] for s in range(code.n + 1)]
+    masks = np.zeros((N, batch), dtype=np.int8 if spec is None else spec.word_dtype)
+    if spec is None:
+        signs = np.empty((N // 2, batch), dtype=np.int8)
+    else:
+        lim = frames.dtype.type(spec.internal_limit)
 
-    def visit(a):
-        node = next(nodes)
-        if node.kind is NodeKind.BRANCH:
-            half = node.size // 2
-            near, far = a[:, half:], a[:, :half]
-            a_left = f_min_sum(far, near)
+    for op, node, optional, left, right in plan.ops:
+        if optional and hook is None:
+            continue
+        s = node.stage
+        a = alpha[s]
+        if op == "f":
+            out, tmp, half = alpha[s - 1], free[s - 1], len(a) // 2
+            np.minimum(a[:half], a[half:], out=out)
+            np.maximum(a[:half], a[half:], out=tmp)
+            np.negative(tmp, out=tmp)
+            np.maximum(out, tmp, out=out)
             if hook:
-                hook(node, "f", a, a_left)
-            beta_l = visit(a_left)
-            a_right = g_function(beta_l, near, far, spec)
+                hook(node, "f", a.T, out.T)
+        elif op == "g":
+            out, m, half = alpha[s - 1], masks[left], len(a) // 2
+            if spec is None:
+                np.bitwise_or(m, 1, out=signs[:half])
+                np.multiply(a[:half], signs[:half], out=out)
+            else:
+                np.bitwise_xor(a[:half], m, out=out)
+                np.subtract(out, m, out=out)
+            np.add(out, a[half:], out=out)
+            if spec is not None:
+                out.clip(-lim, lim, out=out)
             if hook:
-                hook(node, "g", beta_l, a_right)
-            return combine_beta(beta_l, visit(a_right))
-        if node.kind is NodeKind.RATE0:
-            beta = np.zeros((batch, node.size), dtype=np.uint8)
-        elif node.kind is NodeKind.RATE1:
-            beta = decode_rate1(a)
-        elif node.kind is NodeKind.REP:
-            beta = decode_rep(a, spec)
+                hook(node, "g", np.negative(m).T, out.T)
+        elif op == "combine":
+            np.bitwise_xor(masks[left], masks[right], out=masks[left])
         else:
-            beta = decode_spc(a)
-        if tie_mode == "exact" and node.kind in (NodeKind.RATE1, NodeKind.SPC):
-            risk = _rate1_tie_risk(a) if node.kind is NodeKind.RATE1 else _spc_tie_risk(a)
-            if risk.any():
-                mask = code.frozen[node.offset : node.offset + node.size]
-                beta[risk] = sc_decode(PolarCode.from_frozen_mask(mask), a[risk], spec).x_hat
-        if hook:
-            hook(node, node.kind.value, a, beta)
-        return beta
+            beta, risk = masks[left], None
+            if op is NodeKind.RATE1:
+                _hard_masks(a, beta)
+                if exact:
+                    risk = _rate1_tie_risk(a.T)
+            elif op is NodeKind.SPC:
+                risk = _spc_into(a, beta, free[s], exact)
+            elif op is NodeKind.REP:
+                _rep_into(a, beta, free[s], spec)
+            if risk is not None and risk.any():
+                sub = PolarCode.from_frozen_mask(code.frozen[left])
+                x = sc_decode(sub, np.ascontiguousarray(a[:, risk].T), spec).x_hat
+                beta[:, risk] = -x.T.astype(beta.dtype)
+            if hook:
+                hook(node, op.value, a.T, np.negative(beta).T)
 
-    x_hat = visit(alpha)
+    np.negative(masks, out=masks)
+    x_hat = np.empty((batch, N), dtype=np.uint8)
+    _transpose(masks, x_hat)
     u_hat = polar_transform(x_hat)
     return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
 
@@ -340,6 +434,48 @@ class ScheduleReport:
 
     def to_json(self):
         return json.dumps([{**e.__dict__, "kind": e.kind.value} for e in self.entries], indent=2)
+
+
+@dataclass(frozen=True)
+class DecodePlan(ScheduleReport):
+    """A code's node table plus the flat op list the decode loop runs.
+
+    Each op is ``(op, node, optional, left, right)`` in decode order.  A
+    branch gives ``"f"``, ``"g"`` and ``"combine"`` with the codeword rows of
+    its two halves as ``left`` and ``right``; a leaf gives its kind with its
+    own rows as ``left``.  An optional op only feeds or fills a rate-0 node,
+    so it runs only under a hook.
+    """
+
+    ops: tuple = field(default=(), repr=False, compare=False)
+
+
+def _compile(nodes):
+    """The op list of a preorder node table (see :class:`DecodePlan`).
+
+    A combine under a rate-0 right child XORs zeros, so it is left out.
+    """
+    ops, open_branches = [], []
+    for node, nxt in zip(nodes, nodes[1:] + (None,)):
+        o, size = node.offset, node.size
+        if node.kind is NodeKind.BRANCH:
+            halves = slice(o, o + size // 2), slice(o + size // 2, o + size)
+            ops.append(("f", node, nxt.kind is NodeKind.RATE0, *halves))
+            open_branches.append([node, halves, None])
+            continue
+        ops.append((node.kind, node, node.kind is NodeKind.RATE0, slice(o, o + size), None))
+        # A subtree ended here: the left one of a branch with no right child
+        # yet (the next node is that child), or the right one, which closes it.
+        while open_branches:
+            branch, halves, right = open_branches[-1]
+            if right is None:
+                open_branches[-1][2] = nxt.kind
+                ops.append(("g", branch, nxt.kind is NodeKind.RATE0, *halves))
+                break
+            if right is not NodeKind.RATE0:
+                ops.append(("combine", branch, False, *halves))
+            open_branches.pop()
+    return tuple(ops)
 
 
 @functools.cache

@@ -96,6 +96,11 @@ def quantize_channel(llr, spec):
     ndarray of int64
         Raw integers encoding value * 2**F.
     """
+    return _quantize(llr, spec, np.int64)
+
+
+def _quantize(llr, spec, dtype):
+    """:func:`quantize_channel` with the raw integers cast straight to ``dtype``."""
     x = np.asarray(llr, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("channel LLRs contain NaN")
@@ -107,7 +112,7 @@ def quantize_channel(llr, spec):
     mag += 0.5
     np.floor(mag, out=mag)
     np.minimum(mag, spec.channel_limit, out=mag)
-    return np.copysign(mag, x, out=mag).astype(np.int64)
+    return np.copysign(mag, x, out=np.empty(mag.shape, dtype=dtype), casting="unsafe")
 
 
 def dequantize(raw, spec):
@@ -131,10 +136,15 @@ def sat_add(a, b, spec):
 
 
 def validate_quantized(llr, spec):
-    """Check that raw values already lie in the internal range."""
+    """Check that raw values already lie in the internal range; returns them as int64."""
     arr = np.asarray(llr)
-    lim = spec.internal_limit
-    # Two comparisons, not abs: abs of the most negative narrow int wraps.
-    if arr.size and ((arr > lim) | (arr < -lim)).any():
-        raise ValueError(f"quantized LLR outside +/-{lim} for spec {spec}")
+    _check_words(arr, spec)
     return arr.astype(np.int64)
+
+
+def _check_words(arr, spec):
+    """Raise ValueError unless the raw integers in ``arr`` lie in the internal range."""
+    lim = spec.internal_limit
+    # The extremes, not abs: abs of the most negative narrow int wraps.
+    if arr.size and (arr.max() > lim or arr.min() < -lim):
+        raise ValueError(f"quantized LLR outside +/-{lim} for spec {spec}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import QuantSpec, quantize_channel, sat_add, validate_quantized
+from .quant import QuantSpec, _check_words, _quantize, sat_add
 
 
 @dataclass
@@ -81,10 +81,13 @@ def prepare_llr(llr, N, spec=None):
     """Normalize decoder input to a 2-D (batch, N) array.
 
     Returns the array plus a flag telling whether the input was a single frame.
-    Without a spec the LLRs must be finite and come back as float64.  Float
-    input is channel-quantized when a spec is given; integer input is assumed
-    to be raw quantized values already and is only range-checked.  Quantized
-    frames come back as L-bit words in the spec's ``word_dtype``.
+    Without a spec the LLRs come back as float64 (not copied if they already
+    are) and must satisfy |llr| <= float64 max / N, which rejects NaN and inf:
+    a decode adds at most N of them, so then no sum overflows.  Float input is
+    channel-quantized when a spec is given; integer input is assumed to be raw
+    quantized values already and is only range-checked.  Quantized frames come
+    back as L-bit words in the spec's ``word_dtype``.  Decoders only read the
+    returned array.
     """
     arr = np.asarray(llr)
     if arr.ndim == 1:
@@ -97,13 +100,16 @@ def prepare_llr(llr, N, spec=None):
     if arr.shape[1] != N:
         raise ValueError(f"LLR frame length must be {N}, got {arr.shape[1]}")
     if spec is None:
-        arr = arr.astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("LLRs must be finite (no NaN or inf)")
+        arr = arr.astype(np.float64, copy=False)
+        bound = np.finfo(np.float64).max / N
+        # NaN fails both comparisons.
+        if arr.size and not (-bound <= arr.min() and arr.max() <= bound):
+            raise ValueError(f"LLRs must be finite with |llr| <= float64 max / N = {bound:.6g}")
     elif np.issubdtype(arr.dtype, np.integer):
-        arr = validate_quantized(arr, spec).astype(spec.word_dtype)
+        _check_words(arr, spec)
+        arr = arr.astype(spec.word_dtype, copy=False)
     else:
-        arr = quantize_channel(arr, spec).astype(spec.word_dtype)
+        arr = _quantize(arr, spec, spec.word_dtype)
     return arr, single
 
 

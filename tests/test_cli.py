@@ -188,6 +188,16 @@ def test_decode_frame_file_rejects_nan(tmp_path, capsys):
     assert "u_hat" not in out
 
 
+def test_decode_frame_file_rejects_llrs_beyond_max_over_n(tmp_path, capsys):
+    path = tmp_path / "frames.txt"
+    path.write_text(" ".join(["-1e308"] + ["1e308"] * 15) + "\n")
+    rc, out, err = run_cli(capsys, "decode", "--n", "16", "--k", "8", "--frame-file", str(path))
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: LLRs must be finite with |llr| <= float64 max / N")
+
+
 def test_quantized_ber_smoke(capsys):
     rc, out, _ = run_cli(capsys, "ber", "--n", "32", "--k", "16", "--ebn0", "3",
                          "--quant", "4,5,0", "--decoder", "hw",

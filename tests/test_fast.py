@@ -1,8 +1,11 @@
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastssc import (
     NodeKind,
@@ -230,7 +233,8 @@ def test_exact_mode_rarely_re_decodes(monkeypatch):
     monkeypatch.setattr(fast, "sc_decode", counting)
     spec = QuantSpec(4, 5, 0)
     out = fast_ssc_decode(code, llr, spec, tie_mode="exact")
-    assert sum(rows) < 256
+    # the decode looks sc_decode up when it runs, so the patch sees every re-decode
+    assert 0 < sum(rows) < 256
     assert (out.u_hat == sc_decode(code, llr, spec).u_hat).all()
 
 
@@ -335,3 +339,119 @@ def test_latency_reduction_sweep_shape():
         assert r["K"] == int(np.floor(r["rate"] * 256 + 0.5))
         assert 0 < r["cycles"] <= 255
         assert r["reduction"] == 1 - r["cycles"] / (0.75 * 256 - 1)
+
+
+@st.composite
+def decoder_specs(draw):
+    # None, a headline spec, or any valid C,L,F: F > 0 and L up to 63 (int64 words)
+    c = draw(st.integers(2, 12))
+    wide = QuantSpec(c, draw(st.integers(c, 63)), draw(st.integers(0, c - 1)))
+    return draw(st.sampled_from([None, QuantSpec(4, 5, 0), QuantSpec(6, 8, 2), wide]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), spec=decoder_specs(),
+       raw=st.sampled_from([None, np.int8, np.int16, np.int64]), grid=st.booleans(),
+       frames=st.sampled_from([None, 1, 7]))
+def test_plan_agrees_with_plain_sc_and_the_datapath(n, seed, spec, raw, grid, frames):
+    # frames=None is one frame given as a 1-D vector.  Raw integer input needs
+    # a spec; grid-valued floats make ties in float decodes too.
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    code = random_code(N, rng)
+    shape = (frames or 1, N)
+    if spec is not None and raw is not None:
+        lim = min(spec.internal_limit, np.iinfo(raw).max)
+        llr = rng.integers(-3, 4, size=shape)
+        llr[rng.random(shape) < 0.1] = lim
+        llr = (llr * rng.choice([-1, 1], size=shape)).clip(-lim, lim).astype(raw)
+    elif grid:
+        llr = rng.integers(-6, 7, size=shape) / 2.0
+    else:
+        llr = rng.normal(1.0, 2.0, size=shape)
+    if frames is None:
+        llr = llr[0]
+
+    exact = fast_ssc_decode(code, llr, spec, tie_mode="exact")
+    sc = sc_decode(code, llr, spec)
+    assert exact.u_hat.shape == exact.x_hat.shape == np.shape(llr)
+    assert (exact.u_hat == sc.u_hat).all() and (exact.x_hat == sc.x_hat).all()
+
+    # Where no rate-1 or SPC node of the hardware walk flags a frame, every
+    # shortcut provably decides as plain SC, so both modes agree there.
+    flagged = np.zeros(shape[0], dtype=bool)
+
+    def tie_predicates(node, op, inp, out):
+        if op == "rate1":
+            flagged[fast._rate1_tie_risk(inp)] = True
+        elif op == "spc":
+            flagged[fast._spc_tie_risk(inp)] = True
+
+    hard = fast._walk(code, llr, spec, "hardware", tie_predicates)
+    assert (hard.x_hat == fast_ssc_decode(code, llr, spec, tie_mode="hardware").x_hat).all()
+    same = np.atleast_2d(exact.x_hat == hard.x_hat).all(axis=1)
+    assert same[~flagged].all()
+
+    if spec is not None:
+        hw = hw_decode_frame(PuTree(N, spec), code, llr, trace=True)
+        assert (hw.u_hat == hard.u_hat).all() and (hw.x_hat == hard.x_hat).all()
+        steps = [row for row in hw.trace_rows if row["op"] != "g_select"]
+        assert len(steps) == hw.cycle_trace.total_cycles == latency_model(classified(code)).total_cycles
+
+
+def test_threads_sharing_a_code_get_their_serial_results():
+    # run_point decodes chunks of one code from a thread pool, so the plan's
+    # buffers must be made per call
+    code = construct_code(256, 128, 2.0)
+    spec = QuantSpec(4, 5, 0)
+    blocks = [noisy_int_llr(code, np.random.default_rng(s), frames=40)[1] for s in range(4)]
+    decoders = [lambda b: fast_ssc_decode(code, b, spec, tie_mode="exact"),
+                lambda b: fast_ssc_decode(code, b.astype(float) / 2),
+                lambda b: hw_decode_frame(PuTree(256, spec), code, b)]
+    want = [[decode(b).x_hat for decode in decoders] for b in blocks]
+    got = [None] * len(blocks)
+
+    def work(i):
+        got[i] = [[decode(blocks[i]).x_hat for decode in decoders] for _ in range(15)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(blocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, runs in enumerate(got):
+        assert runs is not None
+        for run in runs:
+            assert all((a == b).all() for a, b in zip(run, want[i], strict=True))
+
+
+@pytest.mark.parametrize("mask", [[False], [False, False], [True, False], [False, True]],
+                         ids=["N1", "N2-rate1", "N2-rep", "N2-split"])
+def test_smallest_codes_and_empty_batches_decode(mask, rng):
+    code = PolarCode.from_frozen_mask(np.array(mask))
+    N = code.N
+    spec = QuantSpec(4, 5, 0)
+    tree = PuTree(2, spec)
+    decoders = [lambda x: sc_decode(code, x, spec),
+                lambda x: fast_ssc_decode(code, x, spec, tie_mode="exact"),
+                lambda x: fast_ssc_decode(code, x, spec, tie_mode="hardware"),
+                lambda x: hw_decode_frame(tree, code, x)]
+    frames = np.array(list(itertools.product(range(-2, 3), repeat=N)))
+    results = [decode(frames) for decode in decoders]
+    for res in results:
+        assert res.u_hat.shape == res.x_hat.shape == frames.shape
+    assert (results[1].x_hat == results[0].x_hat).all()
+    assert (results[3].x_hat == results[2].x_hat).all()
+    for i, res in enumerate(results):
+        one = decoders[i](frames[-1])
+        assert one.u_hat.shape == one.x_hat.shape == (N,)
+        assert (one.x_hat == res.x_hat[-1]).all()
+        empty = decoders[i](np.zeros((0, N), dtype=np.int64))
+        assert empty.u_hat.shape == empty.x_hat.shape == (0, N)
+    assert fast_ssc_decode(code, np.zeros((0, N))).x_hat.shape == (0, N)

@@ -8,6 +8,7 @@ from fastssc import (
     construct_code,
     encode,
     f_min_sum,
+    fast_ssc_decode,
     g_function,
     hard_decision,
     sc_decode,
@@ -130,6 +131,32 @@ def test_decoders_reject_non_finite_float_llrs(bad):
         prepare_llr(llr, 16)
     with pytest.raises(ValueError, match="finite"):
         sc_decode(code, np.stack([np.full(16, 2.0), llr]))
+
+
+def test_float_llrs_beyond_max_over_n_are_rejected_by_every_decoder():
+    # A sum inside the pruned walk overflowed to inf on this frame, and the
+    # exact-mode re-decode then sent the inf back through prepare_llr.
+    code = construct_code(16, 8, 2.0)
+    frame = np.full(16, 1e308)
+    frame[0] = -1e308
+    for decode in (sc_decode, fast_ssc_decode,
+                   lambda code, llr: fast_ssc_decode(code, llr, tie_mode="hardware")):
+        with pytest.raises(ValueError, match=r"finite with \|llr\| <= float64 max / N"):
+            decode(code, frame)
+
+
+def test_float_llrs_up_to_max_over_n_decode_like_plain_sc(rng):
+    # No sum of at most N values of magnitude <= max / N overflows.
+    N = 64
+    bound = np.finfo(np.float64).max / N
+    for _ in range(20):
+        code = random_code(N, rng)
+        llr = bound * rng.choice([-1.0, 1.0], size=(40, N)) * rng.choice([1.0, 0.5, 0.25], size=(40, N))
+        llr[:5] = np.nextafter(bound, 0) * np.sign(llr[:5])
+        with np.errstate(over="raise", invalid="raise"):
+            ref = sc_decode(code, llr)
+            got = fast_ssc_decode(code, llr)
+        assert (got.u_hat == ref.u_hat).all() and (got.x_hat == ref.x_hat).all()
 
 
 @pytest.mark.parametrize("bits,dtype", [(2, np.int8), (7, np.int8), (8, np.int16),
