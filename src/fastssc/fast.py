@@ -42,8 +42,11 @@ minimum SC may repair a different copy of it than the comparator fold does
 equally likely codewords, but they can differ bit-for-bit.  The composite
 decoder therefore supports two modes:
 
-* ``tie_mode="exact"`` (default): tie-risk frames are re-decoded node-locally
-  with plain SC, so the output always equals :func:`fastssc.reference.sc_decode`.
+* ``tie_mode="exact"`` (default): on its tie-risk frames a rate-1 or SPC
+  node is decoded as the branch it is, one f, g and combine around two
+  children, each decoded by its own shortcut and tie check, so the split
+  recurses only where a child is at risk too (:func:`_repair`).  The output
+  always equals :func:`fastssc.reference.sc_decode`.
 * ``tie_mode="hardware"``: pure shortcut rules with deterministic tie breaks
   (lowest index wins), matching the cycle-level datapath model bit for bit.
 
@@ -60,8 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import PolarCode, construct_code, polar_transform
-from .reference import DecodeResult, hard_decision, prepare_llr, sc_decode
+from .core import construct_code, polar_transform
+from .reference import DecodeResult, hard_decision, prepare_llr
 
 
 class NodeKind(enum.Enum):
@@ -333,7 +336,29 @@ def _walk(code, llr, spec, tie_mode, hook=None):
     """Decode one frame or a (batch, N) block by running the code's plan.
 
     The LLRs go through :func:`~fastssc.reference.prepare_llr` with ``spec``,
-    and the result has the input's shape: one frame in, one frame out.
+    and the result has the input's shape: one frame in, one frame out.  The
+    frames are transposed into one (N, batch) root for :func:`_run`, and the
+    transform of its codeword estimate, which is its own inverse, gives
+    ``u_hat``.
+    """
+    frames, single = prepare_llr(llr, code.N, spec)
+    batch, N = frames.shape
+    root = np.empty((N, batch), dtype=frames.dtype)
+    _transpose(frames, root)
+    masks = _run(_plan(code).ops, root, spec, tie_mode == "exact", hook)
+    np.negative(masks, out=masks)
+    x_hat = np.empty((batch, N), dtype=np.uint8)
+    _transpose(masks, x_hat)
+    u_hat = polar_transform(x_hat)
+    return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
+
+
+def _run(ops, root, spec, exact, hook=None):
+    """Run a plan's ops over the (size, batch) LLRs ``root``, frames along
+    the columns; returns the codeword estimate as (size, batch) 0/-1 masks.
+
+    In exact mode, the columns a rate-1 or SPC node's tie check flags are
+    repaired by :func:`_repair`.  ``root`` is only read.
 
     ``hook(node, op, inp, out)``, when given, sees every update in decode
     order.  Its arguments are (batch, size) views of the plan's buffers, or
@@ -341,36 +366,29 @@ def _walk(code, llr, spec, tie_mode, hook=None):
     branch reports ``op="f"`` with its LLRs in and the left child's LLRs out,
     then ``op="g"`` with the left child's estimate in and the right child's
     LLRs out.  A leaf reports its kind's value with its LLRs in and its
-    codeword estimate out.
+    codeword estimate out, after any repair.
 
     f is ``max(min(a, b), -max(a, b))``, which equals min-sum exactly on
     integers; on floats it can differ only in the sign of a zero, which no
     decision reads.  g negates the far operand exactly: by the mask trick
     ``(far ^ m) - m`` on integers, by a multiply by +-1 on floats.  Float
     LLRs are bounded by float64 max / N, so no sum overflows.
-
-    The transform is its own inverse, so one transform of the root estimate
-    gives ``u_hat``.
     """
-    plan = _plan(code)
-    frames, single = prepare_llr(llr, code.N, spec)
-    batch, N = frames.shape
-    exact = tie_mode == "exact"
+    N, batch = root.shape
     # Stage s's LLRs are rows [N - 2**(s+1), N - 2**s) of scratch, and the
-    # rows after them, the deeper stages', are its free rows.  The root has
-    # its own buffer.
-    scratch = np.empty((N, batch), dtype=frames.dtype)
-    alpha = [scratch[N - (2 << s) : N - (1 << s)] for s in range(code.n)]
-    alpha.append(np.empty((N, batch), dtype=frames.dtype))
-    _transpose(frames, alpha[-1])
-    free = [scratch[N - (1 << s) :] for s in range(code.n + 1)]
+    # rows after them, the deeper stages', are its free rows.  The root
+    # stage's LLRs are the root.
+    scratch = np.empty((N, batch), dtype=root.dtype)
+    n = N.bit_length() - 1
+    alpha = [scratch[N - (2 << s) : N - (1 << s)] for s in range(n)] + [root]
+    free = [scratch[N - (1 << s) :] for s in range(n + 1)]
     masks = np.zeros((N, batch), dtype=np.int8 if spec is None else spec.word_dtype)
     if spec is None:
         signs = np.empty((N // 2, batch), dtype=np.int8)
     else:
-        lim = frames.dtype.type(spec.internal_limit)
+        lim = root.dtype.type(spec.internal_limit)
 
-    for op, node, optional, left, right in plan.ops:
+    for op, node, optional, left, right in ops:
         if optional and hook is None:
             continue
         s = node.stage
@@ -402,24 +420,47 @@ def _walk(code, llr, spec, tie_mode, hook=None):
             beta, risk = masks[left], None
             if op is NodeKind.RATE1:
                 _hard_masks(a, beta)
-                if exact:
+                # a single bit's threshold is plain SC's leaf decision
+                if exact and s:
                     risk = _rate1_tie_risk(a.T)
             elif op is NodeKind.SPC:
                 risk = _spc_into(a, beta, free[s], exact)
             elif op is NodeKind.REP:
                 _rep_into(a, beta, free[s], spec)
             if risk is not None and risk.any():
-                sub = PolarCode.from_frozen_mask(code.frozen[left])
-                x = sc_decode(sub, np.ascontiguousarray(a[:, risk].T), spec).x_hat
-                beta[:, risk] = -x.T.astype(beta.dtype)
+                beta[:, risk] = _repair(op, s, a[:, risk], spec)
             if hook:
                 hook(node, op.value, a.T, np.negative(beta).T)
+    return masks
 
-    np.negative(masks, out=masks)
-    x_hat = np.empty((batch, N), dtype=np.uint8)
-    _transpose(masks, x_hat)
-    u_hat = polar_transform(x_hat)
-    return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
+
+def _repair(kind, stage, a, spec):
+    """Plain SC's estimate of a rate-1 or SPC node on the (size, batch) LLRs
+    ``a``, as 0/-1 masks.
+
+    The node is decoded as the branch it is: one f, g and combine around two
+    children, each decoded by its own shortcut and tie check (the plan of
+    :func:`_split_ops`), so a child repairs only the columns it flags.  By
+    the proof on :func:`_spc_tie_risk`, each shortcut that its check passes
+    decides as plain SC, and a size-1 leaf, REP and rate-0 always do, so the
+    recursion reproduces plain SC bit for bit.
+    """
+    return _run(_split_ops(kind, stage), a, spec, True)
+
+
+@functools.cache
+def _split_ops(kind, stage):
+    """The op list of a rate-1 or SPC node of ``stage`` split once: a rate-1
+    node into two rate-1 children, an SPC node into an SPC child (REP at
+    size 2) and a rate-1 child.  It does not depend on the code, so it is
+    compiled on the first repair that needs it and cached."""
+    size, half = 1 << stage, 1 << (stage - 1)
+    mask = np.arange(size) < (kind is NodeKind.SPC)
+    children = [(_classify_mask(mask[o : o + half]), o) for o in (0, half)]
+    nodes = [DecodeNode(0, NodeKind.BRANCH, stage, 0, node_cycles(NodeKind.BRANCH, stage))]
+    nodes += [DecodeNode(i, k, stage - 1, o, node_cycles(k, stage - 1))
+              for i, (k, o) in enumerate(children, 1)]
+    return _compile(tuple(nodes))
 
 
 @dataclass(frozen=True)

@@ -99,20 +99,34 @@ def quantize_channel(llr, spec):
     return _quantize(llr, spec, np.int64)
 
 
+_ROW_BLOCK = 64
+
+
 def _quantize(llr, spec, dtype):
-    """:func:`quantize_channel` with the raw integers cast straight to ``dtype``."""
+    """:func:`quantize_channel` with the raw integers cast straight to ``dtype``.
+
+    Works on blocks of ``_ROW_BLOCK`` rows with one magnitude buffer, so it
+    stays in cache; a block with a NaN raises before anything is returned.
+    """
     x = np.asarray(llr, dtype=np.float64)
-    if np.isnan(x).any():
-        raise ValueError("channel LLRs contain NaN")
-    # Clip while still in float: casting first would wrap inf and huge values.
-    # One buffer, updated in place (asarray keeps a 0-d input an array).
-    # copysign differs from a sign select only on zeros, which cast to 0.
-    mag = np.asarray(np.abs(x))
-    mag *= spec.scale
-    mag += 0.5
-    np.floor(mag, out=mag)
-    np.minimum(mag, spec.channel_limit, out=mag)
-    return np.copysign(mag, x, out=np.empty(mag.shape, dtype=dtype), casting="unsafe")
+    raw = np.empty(x.shape, dtype=dtype)
+    rows, out_rows = np.atleast_2d(x), np.atleast_2d(raw)
+    mags = np.empty(rows[:_ROW_BLOCK].shape)
+    for i in range(0, len(rows), _ROW_BLOCK):
+        blk = rows[i : i + _ROW_BLOCK]
+        mag = mags[: len(blk)]
+        np.abs(blk, out=mag)
+        if np.isnan(mag).any():
+            raise ValueError("channel LLRs contain NaN")
+        # Clip while still in float: casting first would wrap inf and huge
+        # values.  copysign differs from a sign select only on zeros, which
+        # cast to 0.
+        mag *= spec.scale
+        mag += 0.5
+        np.floor(mag, out=mag)
+        np.minimum(mag, spec.channel_limit, out=mag)
+        np.copysign(mag, blk, out=out_rows[i : i + _ROW_BLOCK], casting="unsafe")
+    return raw
 
 
 def dequantize(raw, spec):

@@ -127,12 +127,27 @@ def awgn_llr(codeword, cfg, noise):
     Bit 0 maps to +1, bit 1 to -1; the LLR of received sample y is
     ``2 y / noise_var``, positive favouring bit 0.  ``noise`` is the frames'
     unit-variance draw from :func:`draw_messages_and_noise`.
+
+    Each element is ``2.0 * ((1.0 - 2.0 * bit) + sqrt(var) * noise) / var``,
+    evaluated in that order, on blocks of ``DRAW_BLOCK`` rows written into
+    one output, so the temporaries stay in cache.
     """
-    bits = np.asarray(codeword, dtype=np.uint8)
-    symbols = 1.0 - 2.0 * bits.astype(np.float64)
+    bits, noise = np.broadcast_arrays(np.asarray(codeword, dtype=np.uint8), np.asarray(noise))
     var = cfg.noise_var
-    received = symbols + np.sqrt(var) * np.asarray(noise)
-    return 2.0 * received / var
+    sigma = np.sqrt(var)
+    llr = np.empty(bits.shape)
+    rows, bits, noise = (np.atleast_2d(x) for x in (llr, bits, noise))
+    symbols = np.empty(rows[:DRAW_BLOCK].shape)
+    for i in range(0, len(rows), DRAW_BLOCK):
+        out = rows[i : i + DRAW_BLOCK]
+        sym = symbols[: len(out)]
+        np.multiply(bits[i : i + DRAW_BLOCK], 2.0, out=sym)
+        np.subtract(1.0, sym, out=sym)
+        np.multiply(noise[i : i + DRAW_BLOCK], sigma, out=out)
+        np.add(sym, out, out=out)
+        np.multiply(out, 2.0, out=out)
+        np.divide(out, var, out=out)
+    return llr
 
 
 def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):

@@ -217,25 +217,74 @@ def test_spc_tie_predicate_exhaustive(spec, size, top):
     assert not _spc_tie_risk(words)[even & nonzero].any()
 
 
+def watch_repairs(monkeypatch):
+    """Log ``(depth, kind, stage, columns)`` for every call of the exact-mode
+    repair; depth 0 is a call at a node of the code's own plan, deeper ones
+    come from the split it recurses into."""
+    calls, depth, repair = [], [0], fast._repair
+
+    def logged(kind, stage, a, spec):
+        calls.append((depth[0], kind, stage, a.shape[1]))
+        depth[0] += 1
+        try:
+            return repair(kind, stage, a, spec)
+        finally:
+            depth[0] -= 1
+
+    # the decode looks _repair up when it runs, so the patch sees every call
+    monkeypatch.setattr(fast, "_repair", logged)
+    return calls
+
+
 def test_exact_mode_rarely_re_decodes(monkeypatch):
     # Tier-1 guard for the SPC tie predicate: at 4 dB the GA (1024,870) code
-    # at 4,5,0 needs far less than one plain-SC node re-decode per frame.
+    # at 4,5,0 hands the repair far fewer columns than frames.  Only the
+    # columns handed over at the code's own nodes count, not those the
+    # split hands on.
     code = construct_code(1024, 870, 2.0)
     cfg = ChannelConfig(4.0, code.rate, seed=0)
     msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, 0, 256)
     llr = awgn_llr(encode(code, msgs), cfg, noise=noise)
-    rows = []
-
-    def counting(sub, a, spec=None):
-        rows.append(len(a))
-        return sc_decode(sub, a, spec)
-
-    monkeypatch.setattr(fast, "sc_decode", counting)
+    calls = watch_repairs(monkeypatch)
     spec = QuantSpec(4, 5, 0)
     out = fast_ssc_decode(code, llr, spec, tie_mode="exact")
-    # the decode looks sc_decode up when it runs, so the patch sees every re-decode
-    assert 0 < sum(rows) < 256
+    assert 0 < sum(cols for depth, _, _, cols in calls if depth == 0) < 256
     assert (out.u_hat == sc_decode(code, llr, spec).u_hat).all()
+
+
+@pytest.mark.parametrize("spec", [QuantSpec(4, 5, 0), QuantSpec(3, 3, 0)], ids=str)
+@pytest.mark.parametrize("size,top", [(8, 1), (4, 2)])
+def test_rate1_repair_exhaustive(monkeypatch, spec, size, top):
+    # Every rate-1 input on the grid {-top..top}^size, zeros included, as raw words.
+    alphas = np.array(list(itertools.product(range(-top, top + 1), repeat=size)))
+    code = PolarCode.from_frozen_mask(np.zeros(size, dtype=bool))
+    calls = watch_repairs(monkeypatch)
+    exact = fast_ssc_decode(code, alphas, spec, tie_mode="exact")
+    sc = sc_decode(code, alphas, spec)
+    assert (exact.x_hat == sc.x_hat).all() and (exact.u_hat == sc.u_hat).all()
+    assert {depth for depth, *_ in calls} == set(range(size.bit_length() - 1))
+
+
+@pytest.mark.parametrize("spec", [None, QuantSpec(4, 5, 0), QuantSpec(3, 3, 0)], ids=str)
+@pytest.mark.parametrize("size", [16, 32])
+def test_spc_repair_recurses_through_deep_ties(monkeypatch, rng, spec, size):
+    # Equal magnitudes with odd parity keep a repeated minimum in every SPC
+    # child down to size 4, and a zero reaches every f output of its lane,
+    # so the split recurses once per halving.  Random grid frames add
+    # mixed ties.
+    code = PolarCode.from_frozen_mask(np.arange(size) < 1)
+    ones = np.ones((size, size))
+    ones[np.arange(size), np.arange(size)] = -1
+    zeros = rng.choice([-2, -1, 1, 2], size=(size, size))
+    zeros[np.arange(size), np.arange(size)] = 0
+    grid = rng.integers(-2, 3, size=(3000, size))
+    alphas = np.concatenate([ones, -ones, zeros, grid]).astype(float)
+    calls = watch_repairs(monkeypatch)
+    exact = fast_ssc_decode(code, alphas, spec, tie_mode="exact")
+    sc = sc_decode(code, alphas, spec)
+    assert (exact.x_hat == sc.x_hat).all() and (exact.u_hat == sc.u_hat).all()
+    spc_depths = {depth for depth, kind, _, _ in calls if kind is NodeKind.SPC}
+    assert spc_depths == set(range(size.bit_length() - 2))
 
 
 def test_narrow_words_decode_like_int64(rng):

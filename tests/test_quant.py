@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fastssc import QuantSpec, dequantize, quantize_channel, sat_add, saturate, validate_quantized
+from fastssc.quant import _quantize
+from fastssc.reference import prepare_llr
 
 
 def test_spec_string_roundtrip():
@@ -59,6 +61,38 @@ def test_quantize_saturates_extreme_values():
     assert quantize_channel(-x, spec).tolist() == [-7] * 5
     with pytest.raises(ValueError, match="NaN"):
         quantize_channel(np.array([np.inf, -np.inf, np.nan, 1e30]), spec)
+
+
+def whole_array_quantize(llr, spec, dtype):
+    """Channel quantization on whole arrays, one temporary per step."""
+    x = np.asarray(llr, dtype=np.float64)
+    mag = np.minimum(np.floor(np.abs(x) * spec.scale + 0.5), spec.channel_limit)
+    return np.copysign(mag, x).astype(dtype)
+
+
+@pytest.mark.parametrize("batch", [0, 1, 63, 64, 65, 2100])
+def test_quantize_blocks_are_byte_identical(batch):
+    rng = np.random.default_rng(batch)
+    x = rng.normal(1.0, 4.0, size=(batch, 1024))
+    x[:, :6] = [np.inf, -np.inf, 1e300, -9.3e18, 0.5, -0.0]
+    for spec, dtype in [(QuantSpec(4, 5, 0), np.int8), (QuantSpec(6, 8, 2), np.int16),
+                        (QuantSpec(54, 63, 20), np.int64)]:
+        for llr in (x, x[-1:].T, x[-1] if batch else x.ravel(), x[:2].tolist()):
+            got = _quantize(llr, spec, dtype)
+            want = whole_array_quantize(llr, spec, dtype)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    assert quantize_channel(x, QuantSpec(4, 5, 0)).dtype == np.int64
+
+
+@pytest.mark.parametrize("row", [0, 63, 64, 2099])
+def test_quantize_rejects_nan_in_any_block(row):
+    x = np.zeros((2100, 16))
+    x[row, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        quantize_channel(x, QuantSpec(4, 5, 0))
+    with pytest.raises(ValueError, match="NaN"):
+        prepare_llr(x, 16, QuantSpec(4, 5, 0))
 
 
 @given(st.floats(allow_nan=False))

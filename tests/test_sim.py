@@ -44,6 +44,28 @@ def test_llr_scaling_statistics():
     assert abs(llr.mean() - mean) < 3 * sd / np.sqrt(n)
 
 
+def whole_array_awgn_llr(codeword, cfg, noise):
+    """The channel expression on whole arrays, as one line of numpy."""
+    symbols = 1.0 - 2.0 * np.asarray(codeword, dtype=np.uint8).astype(np.float64)
+    return 2.0 * (symbols + np.sqrt(cfg.noise_var) * np.asarray(noise)) / cfg.noise_var
+
+
+@pytest.mark.parametrize("batch", [0, 1, 63, 64, 65, 2100])
+def test_awgn_llr_blocks_are_byte_identical(rng, batch):
+    cfg = ChannelConfig(2.5, 870 / 1024, seed=0)
+    bits = rng.integers(0, 2, size=(batch, 1024), dtype=np.uint8)
+    noise = rng.standard_normal((batch, 1024))
+    noise[:, :4] = [np.inf, -np.inf, 1e308, -1e300]
+    with np.errstate(over="ignore"):
+        pairs = [(bits, noise)]
+        if batch:  # a nested list, and one frame as a 1-D vector
+            pairs += [(bits[:2].tolist(), noise[:2]), (bits[-1], noise[-1])]
+        for cw, nz in pairs:
+            got, want = awgn_llr(cw, cfg, noise=nz), whole_array_awgn_llr(cw, cfg, nz)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_trial_stats_rates_and_merge():
     a = TrialStats(100, 30, 10, info_bits_per_frame=50)
     b = TrialStats(50, 10, 5, info_bits_per_frame=50)
