@@ -89,14 +89,12 @@ def parse_ebn0(text):
 
 def cmd_construct(args):
     code = _resolve_code(args)
-    text = core.frozen_file_text(code)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        core.write_frozen_file(args.out, code)
         print(f"wrote {args.out}: N={code.N} K={code.K} "
               f"method={code.construction.method} design_snr_db={code.construction.design_snr_db}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(core.frozen_file_text(code))
     return 0
 
 

@@ -15,13 +15,14 @@ Everything else stays a ``BRANCH``, split with the min-sum f and g updates.
 
 Decode plan
 -----------
-Each code's node table is compiled once into a flat list of ops in decode
-order (:func:`_plan`): a branch gives an f update before its left subtree, a
-g update before its right subtree and a combine after it, and a leaf gives
-its shortcut decode.  One loop runs that list, for both tie modes and for the
-datapath model, in float and fixed point.  Each op is a kernel writing with
-``out=`` into buffers made per call, frames along the columns, in the
-per-stage memory layout of Leroux et al. (IEEE TSP 2013):
+Each code's node table and its flat list of ops in decode order are built
+once, together, in one descent of the tree (:func:`_tree`): a branch gives an
+f update before its left subtree, a g update before its right subtree and a
+combine after it, and a leaf gives its shortcut decode.  One loop runs that
+list, for both tie modes and for the datapath model, in float and fixed
+point.  Each op is a kernel writing with ``out=`` into buffers made per call,
+frames along the columns, in the per-stage memory layout of Leroux et al.
+(IEEE TSP 2013):
 
 * one LLR buffer per stage, so a node's halves are contiguous row blocks;
 * one codeword buffer of 0/-1 masks, where each node owns its positions' rows.
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import construct_code, polar_transform
-from .reference import DecodeResult, hard_decision, prepare_llr
+from .reference import DecodeResult, prepare_llr
 
 
 class NodeKind(enum.Enum):
@@ -88,10 +89,6 @@ class DecodeNode:
     offset: int
     cycles: int
 
-    @property
-    def size(self):
-        return 1 << self.stage
-
 
 def classify_tree(code):
     """Classify the decode tree of a code.
@@ -101,19 +98,40 @@ def classify_tree(code):
     its right child follows the left child's subtree.  Each node carries its
     :func:`node_cycles` cost in the precomputed schedule.
     """
-    frozen = code.frozen
-    nodes = []
+    return _tree(code.frozen, code.n)[0]
 
-    def build(stage, offset):
+
+def _tree(frozen, stage, root=None):
+    """The node table and op list of the decode tree over the frozen mask
+    ``frozen`` of length ``2**stage``, built in one preorder descent.
+
+    A leaf gives its kind's op.  A branch gives ``"f"``, its left subtree,
+    ``"g"``, its right subtree and ``"combine"`` (see :class:`DecodePlan`);
+    an update that only feeds a rate-0 child is optional, and a combine with
+    a rate-0 right child XORs zeros, so it is left out.  ``root`` overrides
+    the root's kind.
+    """
+    nodes, ops = [], []
+
+    def build(kind, stage, offset):
         size = 1 << stage
-        kind = _classify_mask(frozen[offset : offset + size])
-        nodes.append(DecodeNode(len(nodes), kind, stage, offset, node_cycles(kind, stage)))
-        if kind is NodeKind.BRANCH:
-            build(stage - 1, offset)
-            build(stage - 1, offset + size // 2)
+        half = size // 2
+        node = DecodeNode(len(nodes), kind, stage, offset, node_cycles(kind, stage))
+        nodes.append(node)
+        if kind is not NodeKind.BRANCH:
+            ops.append((kind, node, kind is NodeKind.RATE0, slice(offset, offset + size), None))
+            return
+        rows = slice(offset, offset + half), slice(offset + half, offset + size)
+        left, right = (_classify_mask(frozen[r]) for r in rows)
+        ops.append(("f", node, left is NodeKind.RATE0, *rows))
+        build(left, stage - 1, offset)
+        ops.append(("g", node, right is NodeKind.RATE0, *rows))
+        build(right, stage - 1, offset + half)
+        if right is not NodeKind.RATE0:
+            ops.append(("combine", node, False, *rows))
 
-    build(code.n, 0)
-    return tuple(nodes)
+    build(_classify_mask(frozen) if root is None else root, stage, 0)
+    return tuple(nodes), tuple(ops)
 
 
 def _classify_mask(mask):
@@ -129,11 +147,6 @@ def _classify_mask(mask):
     if mask[0] and not mask[1:].any():
         return NodeKind.SPC
     return NodeKind.BRANCH
-
-
-def decode_rate1(alpha):
-    """Codeword estimate of an all-information node: elementwise thresholds."""
-    return hard_decision(alpha)
 
 
 def fold_argmin(mags):
@@ -295,11 +308,10 @@ def _transpose(src, dst):
 
 
 def _plan(code):
-    """The code's :class:`DecodePlan`, compiled once and cached on the code."""
+    """The code's :class:`DecodePlan`, built once and cached on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        nodes = classify_tree(code)
-        plan = code._decode_plan = DecodePlan(nodes, _compile(nodes))
+        plan = code._decode_plan = DecodePlan(*_tree(code.frozen, code.n))
     return plan
 
 
@@ -453,14 +465,8 @@ def _split_ops(kind, stage):
     """The op list of a rate-1 or SPC node of ``stage`` split once: a rate-1
     node into two rate-1 children, an SPC node into an SPC child (REP at
     size 2) and a rate-1 child.  It does not depend on the code, so it is
-    compiled on the first repair that needs it and cached."""
-    size, half = 1 << stage, 1 << (stage - 1)
-    mask = np.arange(size) < (kind is NodeKind.SPC)
-    children = [(_classify_mask(mask[o : o + half]), o) for o in (0, half)]
-    nodes = [DecodeNode(0, NodeKind.BRANCH, stage, 0, node_cycles(NodeKind.BRANCH, stage))]
-    nodes += [DecodeNode(i, k, stage - 1, o, node_cycles(k, stage - 1))
-              for i, (k, o) in enumerate(children, 1)]
-    return _compile(tuple(nodes))
+    built on the first repair that needs it and cached."""
+    return _tree(np.arange(1 << stage) < (kind is NodeKind.SPC), stage, NodeKind.BRANCH)[1]
 
 
 @dataclass(frozen=True)
@@ -489,34 +495,6 @@ class DecodePlan(ScheduleReport):
     """
 
     ops: tuple = field(default=(), repr=False, compare=False)
-
-
-def _compile(nodes):
-    """The op list of a preorder node table (see :class:`DecodePlan`).
-
-    A combine under a rate-0 right child XORs zeros, so it is left out.
-    """
-    ops, open_branches = [], []
-    for node, nxt in zip(nodes, nodes[1:] + (None,)):
-        o, size = node.offset, node.size
-        if node.kind is NodeKind.BRANCH:
-            halves = slice(o, o + size // 2), slice(o + size // 2, o + size)
-            ops.append(("f", node, nxt.kind is NodeKind.RATE0, *halves))
-            open_branches.append([node, halves, None])
-            continue
-        ops.append((node.kind, node, node.kind is NodeKind.RATE0, slice(o, o + size), None))
-        # A subtree ended here: the left one of a branch with no right child
-        # yet (the next node is that child), or the right one, which closes it.
-        while open_branches:
-            branch, halves, right = open_branches[-1]
-            if right is None:
-                open_branches[-1][2] = nxt.kind
-                ops.append(("g", branch, nxt.kind is NodeKind.RATE0, *halves))
-                break
-            if right is not NodeKind.RATE0:
-                ops.append(("combine", branch, False, *halves))
-            open_branches.pop()
-    return tuple(ops)
 
 
 @functools.cache

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastssc import construct_code, read_frozen_file
 from fastssc.cli import MAX_CHUNK_VALUES, MAX_RANGE_POINTS, main, parse_ebn0
@@ -235,3 +240,130 @@ def test_frozen_file_feeds_other_commands(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "schedule", "--frozen-file", str(path))
     assert rc == 0
     assert "total_cycles=" in out
+
+
+# Inputs for the CLI fuzzer: small codes and budgets, plus values past each cap.
+# Each argument list breaks at most one rule, so most of them reach the decoders.
+FAULTS = ["size", "source", "file", "snr", "seed", "quant", "path", "frames", "ebn0", "stop",
+          "batch", "workers"]
+NUMBERS = ["0", "1", "2.5", "-3", "12", "1e6", "-1e6", "nan", "inf", "1e-300"]
+LLRS = ["0", "1.5", "-2", "7"]
+BAD_LLRS = ["1e308", "-1e308", "nan", "inf", "x"]
+OVERSIZE = [2 * MAX_N, 1 << 40]
+
+
+def _opt(flag, value):
+    # the joined form, so argparse takes a leading '-' as part of the value
+    return f"{flag}={value}"
+
+
+@st.composite
+def cli_argv(draw):
+    """An argument list argparse accepts, and the files it reads."""
+    fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+
+    def pick(name, good, bad):
+        return draw(bad if fault == name else good)
+
+    files = {}
+    command = draw(st.sampled_from(["construct", "schedule", "decode", "ber"]))
+    argv = [command]
+    N = pick("size", st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+             st.sampled_from([-4, 0, 3, 12] + OVERSIZE))
+    K = draw(st.integers(1, N)) if 1 <= N <= 64 else 1
+    if fault == "size" and draw(st.booleans()):
+        N = draw(st.sampled_from([1, 2, 8, 64]))
+        K = draw(st.sampled_from([-1, 0, N + 1]))
+    source = pick("source", st.sampled_from(["nk", "file"]), st.just("none"))
+    if source == "nk":
+        argv += [_opt("--n", N), _opt("--k", K)]
+    elif source == "file":
+        body = []
+        if 1 <= K <= N <= 64:
+            body = [str(i) for i in draw(st.permutations(range(N)))[: N - K]]
+        body = pick("file", st.just(body),
+                    st.lists(st.integers(-2, 66).map(str) | st.just("x"), max_size=66))
+        if not (fault == "file" and draw(st.booleans())):
+            files["code.txt"] = f"{N} {K}\n{' '.join(body)}\n"
+        argv.append(_opt("--frozen-file", "{tmp}/code.txt"))
+    if draw(st.booleans()) or fault == "snr":
+        argv.append(_opt("--design-snr", pick("snr", st.sampled_from(["-1", "0", "2.5", "5"]),
+                                              st.sampled_from(NUMBERS))))
+    if draw(st.booleans()):
+        argv.append(_opt("--method", draw(st.sampled_from(["ga", "bhattacharyya"]))))
+
+    def path(name):
+        return pick("path", st.just(f"{{tmp}}/{name}"), st.just(f"{{tmp}}/missing/{name}"))
+
+    if command in ("decode", "ber"):
+        argv += [_opt("--decoder", draw(st.sampled_from(["sc", "fast-ssc", "hw"]))),
+                 _opt("--tie-mode", draw(st.sampled_from(["exact", "hardware"]))),
+                 _opt("--seed", pick("seed", st.sampled_from([0, 7, 2**64 - 1]),
+                                     st.sampled_from([-1, 2**64])))]
+        if draw(st.booleans()) or fault == "quant":
+            argv.append(_opt("--quant", pick(
+                "quant", st.sampled_from(["4,5,0", "3,4,1", "6,8,2", "2,63,1", "54,63,0"]),
+                st.sampled_from(["1,1,0", "4,3,0", "4,5,4", "64,64,0", "4,5", "a,b,c", ""]))))
+    if command == "construct" and draw(st.booleans()):
+        argv.append(_opt("--out", path("code_out.txt")))
+    elif command == "schedule":
+        if draw(st.booleans()):
+            argv.append("--no-precompute")
+        if draw(st.booleans()):
+            argv.append(_opt("--json", path("schedule.json")))
+    elif command == "decode":
+        if draw(st.booleans()):
+            width = pick("frames", st.just(N if 1 <= N <= 64 else 16),
+                         st.sampled_from([1, 2, 8, 15, 16, 64]))
+            llr = st.sampled_from(LLRS + BAD_LLRS if fault == "frames" else LLRS)
+            rows = draw(st.lists(st.lists(llr, min_size=width, max_size=width),
+                                 min_size=0 if fault == "frames" else 1, max_size=3))
+            files["frames.txt"] = "".join(" ".join(row) + "\n" for row in rows)
+            argv.append(_opt("--frame-file", "{tmp}/frames.txt"))
+        else:
+            ebn0 = pick("ebn0", st.sampled_from(["-1", "2.5", "12"]), st.sampled_from(NUMBERS))
+            frames = pick("frames", st.integers(1, 32),
+                          st.sampled_from([-1, 0, MAX_CHUNK_VALUES + 1]))
+            argv += [_opt("--ebn0", ebn0), _opt("--frames", frames)]
+        if draw(st.booleans()):
+            argv.append(_opt("--trace", path("trace.jsonl")))
+    elif command == "ber":
+        point = st.sampled_from(NUMBERS)
+        span = st.tuples(st.sampled_from(["-1", "0", "1.5", "3", "1e6", "nan"]),
+                         st.sampled_from(["-1", "0", "2", "3", "1e6", "inf"]),
+                         st.sampled_from(["0.5", "1", "2", "0", "-1", "1e-7", "1e-300", "nan"]))
+        ebn0 = pick("ebn0", st.sampled_from(["0", "2.5", "-1,4", "0:2:1"]),
+                    st.lists(point | span.map(":".join), min_size=1, max_size=3).map(",".join))
+        stop_fault = pick("stop", st.just(None), st.sampled_from(["--min-frame-errors",
+                                                                  "--max-frames"]))
+        stop = {"--min-frame-errors": draw(st.integers(1, 20)),
+                "--max-frames": draw(st.integers(1, 300))}
+        if stop_fault:
+            stop[stop_fault] = draw(st.integers(-1, 0))
+        argv += [_opt("--ebn0", ebn0), *(_opt(k, v) for k, v in stop.items()),
+                 _opt("--batch", pick("batch", st.sampled_from([1, 16, 100, 2048]),
+                                      st.sampled_from([-1, 0, MAX_CHUNK_VALUES + 1]))),
+                 _opt("--workers", pick("workers", st.sampled_from([1, 2, 64]),
+                                        st.sampled_from([-1, 0])))]
+        if draw(st.booleans()):
+            argv.append(_opt("--out", path("ber.csv")))
+    return argv, files
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_zero_or_one_error_line(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    err = err.getvalue()
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -24,7 +24,7 @@ from fastssc import (
     sc_decode,
 )
 from fastssc import fast
-from fastssc.fast import _spc_tie_risk, decode_rate1, decode_rep, decode_spc, fold_argmin
+from fastssc.fast import _spc_tie_risk, decode_rep, decode_spc, fold_argmin
 from fastssc.reference import prepare_llr
 from fastssc.sim import ChannelConfig, awgn_llr, draw_messages_and_noise
 from conftest import noisy_float_llr, noisy_int_llr, random_code
@@ -106,10 +106,6 @@ def test_fold_argmin_matches_comparator_tree(rng):
     blocks += [rng.integers(0, 4, size=(200, n)) for n in (16, 64, 256, 1024)]
     for mags in blocks:
         assert fold_argmin(mags).tolist() == [comparator_fold_argmin(row) for row in mags]
-
-
-def test_decode_rate1_is_elementwise():
-    assert decode_rate1(np.array([1.0, -0.5, 0.0, -2.0])).tolist() == [0, 1, 0, 1]
 
 
 def test_decode_spc_parity_and_flip():
