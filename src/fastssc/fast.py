@@ -90,17 +90,6 @@ class DecodeNode:
     cycles: int
 
 
-def classify_tree(code):
-    """Classify the decode tree of a code.
-
-    Returns its nodes as a tuple in preorder, the order decoding visits them,
-    so ``nodes[i].node == i``.  A branch's left child follows it directly and
-    its right child follows the left child's subtree.  Each node carries its
-    :func:`node_cycles` cost in the precomputed schedule.
-    """
-    return _tree(code.frozen, code.n)[0]
-
-
 def _tree(frozen, stage, root=None):
     """The node table and op list of the decode tree over the frozen mask
     ``frozen`` of length ``2**stage``, built in one preorder descent.
@@ -316,7 +305,13 @@ def _plan(code):
 
 
 def classified(code):
-    """Classified nodes of a code in preorder, cached on the code object."""
+    """Classify the decode tree of a code; cached on the code object.
+
+    Returns its nodes as a tuple in preorder, the order decoding visits them,
+    so ``nodes[i].node == i``.  A branch's left child follows it directly and
+    its right child follows the left child's subtree.  Each node carries its
+    :func:`node_cycles` cost in the precomputed schedule.
+    """
     return _plan(code).entries
 
 
@@ -546,7 +541,7 @@ def two_bit_precomputed_cycles(N):
 def latency_model(nodes, precompute=True):
     """Static cycle count of the pruned schedule.
 
-    ``nodes`` is a node table from :func:`classify_tree`, whose cycle column
+    ``nodes`` is a node table from :func:`classified`, whose cycle column
     already holds the precomputed schedule; without precompute each branch
     is re-costed.  The cycle-level datapath model's trace logs one row per
     step of the same plan, so its cycles add up to the same total.
@@ -569,7 +564,7 @@ def latency_reduction_sweep(N, rates, design_snr_db):
     rows = []
     for rate in rates:
         K = int(np.floor(rate * N + 0.5))
-        total = latency_model(classify_tree(construct_code(N, K, design_snr_db))).total_cycles
+        total = latency_model(classified(construct_code(N, K, design_snr_db))).total_cycles
         rows.append({
             "rate": rate,
             "K": K,

@@ -79,11 +79,16 @@ def saturate(values, bits):
     return np.clip(values, -lim, lim)
 
 
+_ROW_BLOCK = 64
+
+
 def quantize_channel(llr, spec):
     """Quantize float channel LLRs to raw integers.
 
     Rounds half away from zero to ``F`` fraction bits, then saturates to the
-    symmetric ``C``-bit range; infinities saturate, NaN is rejected.
+    symmetric ``C``-bit range; infinities saturate, NaN is rejected.  Works
+    on blocks of ``_ROW_BLOCK`` rows with one magnitude buffer, so it stays
+    in cache; a block with a NaN raises before anything is returned.
 
     Parameters
     ----------
@@ -93,23 +98,11 @@ def quantize_channel(llr, spec):
 
     Returns
     -------
-    ndarray of int64
-        Raw integers encoding value * 2**F.
-    """
-    return _quantize(llr, spec, np.int64)
-
-
-_ROW_BLOCK = 64
-
-
-def _quantize(llr, spec, dtype):
-    """:func:`quantize_channel` with the raw integers cast straight to ``dtype``.
-
-    Works on blocks of ``_ROW_BLOCK`` rows with one magnitude buffer, so it
-    stays in cache; a block with a NaN raises before anything is returned.
+    ndarray of ``spec.word_dtype``
+        Raw integers encoding value * 2**F, the decoders' word format.
     """
     x = np.asarray(llr, dtype=np.float64)
-    raw = np.empty(x.shape, dtype=dtype)
+    raw = np.empty(x.shape, dtype=spec.word_dtype)
     rows, out_rows = np.atleast_2d(x), np.atleast_2d(raw)
     mags = np.empty(rows[:_ROW_BLOCK].shape)
     for i in range(0, len(rows), _ROW_BLOCK):
@@ -150,15 +143,17 @@ def sat_add(a, b, spec):
 
 
 def validate_quantized(llr, spec):
-    """Check that raw values already lie in the internal range; returns them as int64."""
+    """Check that raw integers lie in the internal range; returns them as
+    ``spec.word_dtype`` words, not copied if they already are.
+
+    Raises ValueError for non-integer input or a value outside
+    ``+/-spec.internal_limit``.
+    """
     arr = np.asarray(llr)
-    _check_words(arr, spec)
-    return arr.astype(np.int64)
-
-
-def _check_words(arr, spec):
-    """Raise ValueError unless the raw integers in ``arr`` lie in the internal range."""
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"quantized LLRs must be integers, got {arr.dtype}")
     lim = spec.internal_limit
     # The extremes, not abs: abs of the most negative narrow int wraps.
     if arr.size and (arr.max() > lim or arr.min() < -lim):
         raise ValueError(f"quantized LLR outside +/-{lim} for spec {spec}")
+    return arr.astype(spec.word_dtype, copy=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import QuantSpec, _check_words, _quantize, sat_add
+from .quant import QuantSpec, quantize_channel, sat_add, validate_quantized
 
 
 @dataclass
@@ -106,10 +106,9 @@ def prepare_llr(llr, N, spec=None):
         if arr.size and not (-bound <= arr.min() and arr.max() <= bound):
             raise ValueError(f"LLRs must be finite with |llr| <= float64 max / N = {bound:.6g}")
     elif np.issubdtype(arr.dtype, np.integer):
-        _check_words(arr, spec)
-        arr = arr.astype(spec.word_dtype, copy=False)
+        arr = validate_quantized(arr, spec)
     else:
-        arr = _quantize(arr, spec, spec.word_dtype)
+        arr = quantize_channel(arr, spec)
     return arr, single
 
 

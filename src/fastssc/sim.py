@@ -122,32 +122,36 @@ def draw_messages_and_noise(cfg, K, N, first_frame, count):
 
 
 def awgn_llr(codeword, cfg, noise):
-    """Channel LLRs of BPSK codeword bits over AWGN.
+    """Channel LLRs of BPSK codeword bits over AWGN, written over ``noise``.
 
     Bit 0 maps to +1, bit 1 to -1; the LLR of received sample y is
     ``2 y / noise_var``, positive favouring bit 0.  ``noise`` is the frames'
-    unit-variance draw from :func:`draw_messages_and_noise`.
+    unit-variance draw from :func:`draw_messages_and_noise`, a float64 array
+    of the codeword's shape; it is overwritten with the LLRs and returned,
+    so a chunk holds one float64 block, not two.
 
     Each element is ``2.0 * ((1.0 - 2.0 * bit) + sqrt(var) * noise) / var``,
-    evaluated in that order, on blocks of ``DRAW_BLOCK`` rows written into
-    one output, so the temporaries stay in cache.
+    evaluated in that order, on blocks of ``DRAW_BLOCK`` rows, so the
+    temporaries stay in cache.
     """
-    bits, noise = np.broadcast_arrays(np.asarray(codeword, dtype=np.uint8), np.asarray(noise))
+    bits = np.asarray(codeword, dtype=np.uint8)
+    if not (isinstance(noise, np.ndarray) and noise.dtype == np.float64
+            and noise.shape == bits.shape):
+        raise ValueError(f"noise must be a float64 array of the codeword's shape {bits.shape}")
     var = cfg.noise_var
     sigma = np.sqrt(var)
-    llr = np.empty(bits.shape)
-    rows, bits, noise = (np.atleast_2d(x) for x in (llr, bits, noise))
+    rows, bits = np.atleast_2d(noise), np.atleast_2d(bits)
     symbols = np.empty(rows[:DRAW_BLOCK].shape)
     for i in range(0, len(rows), DRAW_BLOCK):
         out = rows[i : i + DRAW_BLOCK]
         sym = symbols[: len(out)]
         np.multiply(bits[i : i + DRAW_BLOCK], 2.0, out=sym)
         np.subtract(1.0, sym, out=sym)
-        np.multiply(noise[i : i + DRAW_BLOCK], sigma, out=out)
+        np.multiply(out, sigma, out=out)
         np.add(sym, out, out=out)
         np.multiply(out, 2.0, out=out)
         np.divide(out, var, out=out)
-    return llr
+    return noise
 
 
 def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):

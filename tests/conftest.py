@@ -3,12 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fastssc import PolarCode
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Every property runs the same examples on every run, with no wall-clock
+# deadline and no example database carried between runs.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def random_code(N, rng, K=None):

@@ -350,7 +350,7 @@ def cli_argv(draw):
     return argv, files
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(cli_argv())
 def test_cli_fuzz_exits_zero_or_one_error_line(case):
     argv, files = case

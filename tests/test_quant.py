@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fastssc import QuantSpec, dequantize, quantize_channel, sat_add, saturate, validate_quantized
-from fastssc.quant import _quantize
 from fastssc.reference import prepare_llr
 
 
@@ -51,7 +50,7 @@ def test_quantize_saturates_at_channel_limit():
     spec = QuantSpec(4, 5, 0)
     vals = quantize_channel(np.array([100.0, -100.0, 7.0, -8.0]), spec)
     assert vals.tolist() == [7, -7, 7, -7]
-    assert vals.dtype == np.int64
+    assert vals.dtype == spec.word_dtype == np.int8
 
 
 def test_quantize_saturates_extreme_values():
@@ -78,11 +77,12 @@ def test_quantize_blocks_are_byte_identical(batch):
     for spec, dtype in [(QuantSpec(4, 5, 0), np.int8), (QuantSpec(6, 8, 2), np.int16),
                         (QuantSpec(54, 63, 20), np.int64)]:
         for llr in (x, x[-1:].T, x[-1] if batch else x.ravel(), x[:2].tolist()):
-            got = _quantize(llr, spec, dtype)
+            got = quantize_channel(llr, spec)
             want = whole_array_quantize(llr, spec, dtype)
-            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.shape == want.shape and got.dtype == want.dtype == spec.word_dtype
             assert got.tobytes() == want.tobytes()
-    assert quantize_channel(x, QuantSpec(4, 5, 0)).dtype == np.int64
+            words = validate_quantized(got.astype(np.int64), spec)
+            assert words.dtype == dtype and words.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("row", [0, 63, 64, 2099])
@@ -119,12 +119,21 @@ def test_sat_add_clips_to_internal_limit():
 
 def test_validate_quantized_bounds():
     spec = QuantSpec(4, 5, 0)
-    assert validate_quantized(np.array([15, -15, 0], dtype=np.int8), spec).dtype == np.int64
+    words = np.array([15, -15, 0], dtype=np.int8)
+    assert validate_quantized(words, spec) is words  # already words: no copy
+    assert validate_quantized([15, -15, 0], spec).dtype == np.int8
     with pytest.raises(ValueError):
         validate_quantized(np.array([16]), spec)
     # abs(-128) wraps to -128 in int8; the range check must not rely on it
     with pytest.raises(ValueError):
         validate_quantized(np.array([-128], dtype=np.int8), QuantSpec(4, 8, 0))
+
+
+@pytest.mark.parametrize("llr", [np.array([1.5, -2.7]), np.array([1.0, -2.0]), np.array([True])])
+def test_validate_quantized_rejects_non_integers(llr):
+    # a float is not a raw word: it must not be truncated to one
+    with pytest.raises(ValueError, match="integers"):
+        validate_quantized(llr, QuantSpec(4, 5, 0))
 
 
 def test_saturate_idempotent():

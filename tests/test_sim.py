@@ -61,9 +61,15 @@ def test_awgn_llr_blocks_are_byte_identical(rng, batch):
         if batch:  # a nested list, and one frame as a 1-D vector
             pairs += [(bits[:2].tolist(), noise[:2]), (bits[-1], noise[-1])]
         for cw, nz in pairs:
-            got, want = awgn_llr(cw, cfg, noise=nz), whole_array_awgn_llr(cw, cfg, nz)
+            nz = nz.copy()
+            want = whole_array_awgn_llr(cw, cfg, nz)
+            got = awgn_llr(cw, cfg, noise=nz)
+            assert got is nz  # the LLRs are written over the noise
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+        for nz in (noise.astype(np.float32), noise[:, :512], noise.tolist()):
+            with pytest.raises(ValueError, match="float64"):
+                awgn_llr(bits, cfg, noise=nz)
 
 
 def test_trial_stats_rates_and_merge():
@@ -185,7 +191,7 @@ def test_decoders_agree_on_error_counts():
     assert (a.bit_errors, a.frame_errors) == (b.bit_errors, b.frame_errors)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(n=st.integers(1, 8), k=st.sampled_from(["one", "all", "random"]),
        raw=st.booleans(), seed=st.integers(0, 2**32 - 1),
        decoder=st.sampled_from([("sc", "exact"), ("fast_ssc", "exact"),
