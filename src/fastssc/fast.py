@@ -39,7 +39,7 @@ exact zeros and, for an SPC node whose hard decisions fail the parity check,
 the minimum magnitude is unique.  With even parity SC keeps the hard
 decisions whatever the repeated magnitudes; with odd parity and a repeated
 minimum SC may repair a different copy of it than the comparator fold does
-(the proof is on ``_spc_tie_risk``).  On such tie events both answers are
+(the proof is on ``_spc_into``).  On such tie events both answers are
 equally likely codewords, but they can differ bit-for-bit.  The composite
 decoder therefore supports two modes:
 
@@ -179,8 +179,29 @@ def _spc_into(a, out, scratch, tie_check=False):
     Thresholds, then the parity repair flips the minimum |LLR| that
     :func:`fold_argmin` finds, which is a first-occurrence argmin over the
     rows taken in bit-reversed order into ``scratch``.  With ``tie_check``,
-    returns the columns :func:`_spc_tie_risk` flags, from the same
-    magnitudes, minimum and parity.
+    returns the columns plain SC may decode differently, from the same
+    magnitudes, minimum and parity: those with a zero minimum, or with odd
+    hard-decision parity and a repeated minimum.  Every other column decodes
+    under plain SC exactly as here.
+
+    Proof, by induction on the size.  Plain SC splits SPC(n) into SPC(n/2) on
+    the f outputs and rate-1(n/2) on the g outputs; SPC(1) is a frozen bit,
+    which decides 0, the parity-repaired hard decision of a nonzero LLR.
+
+    * With no zero, f(far, near) carries the XOR of its pair's signs and
+      min(|far|, |near|) > 0, so the f outputs have no zero and the same
+      parity as alpha.  Rate-1 on nonzero LLRs returns the hard decisions
+      (the same split with g = sign(near)(|near| + |far|) shows it).
+    * Even parity: the left SPC returns its hard decisions, so every g is
+      sign(near)(|near| + |far|) and the right child returns hard(near).  The
+      combined word is the hard decisions of alpha, whatever the ties.
+    * Odd parity, unique minimum: the pair holding the minimum has the
+      unique minimum of the f outputs, so the left SPC flips that pair's bit.
+      That pair's g is then +-||near| - |far|| > 0, signed by the larger
+      magnitude, so the right child flips exactly the minimum's lane, and
+      every other pair keeps its hard decisions.
+    * Saturation clips to +-internal_limit >= 1: it never zeroes a value and
+      never flips a sign.
     """
     _hard_masks(a, out)
     parity = np.bitwise_xor.reduce(out, axis=0)
@@ -215,78 +236,11 @@ def _rep_into(a, out, scratch, spec=None):
     return a
 
 
-def _on_rows(kernel, alpha, *args):
-    """Run a column kernel on a (batch, size) block.
-
-    Returns the block's 0/1 codeword estimate and what the kernel returned.
-    """
-    a = np.asarray(alpha).T
-    masks = np.empty(a.shape, dtype=np.int8)
-    result = kernel(a, masks, np.empty(a.shape, dtype=a.dtype), *args)
-    return np.negative(masks.T).view(np.uint8), result
-
-
-def decode_spc(alpha):
-    """Single-parity-check decode of a (batch, size) block: thresholds plus a
-    parity-repair flip.
-
-    The flipped position is the minimum |LLR|, found by fold_argmin so ties
-    land where the comparator tree lands them.  This is the decode plan's
-    kernel, run on one block.
-    """
-    return _on_rows(_spc_into, alpha)[0]
-
-
-def decode_rep(alpha, spec=None):
-    """Repetition decode of a (batch, size) block: the sign of each row's LLR
-    sum, replicated.
-
-    The sum is :func:`rep_sum`'s; this is the decode plan's kernel, run on
-    one block.
-    """
-    return _on_rows(_rep_into, alpha, spec)[0]
-
-
 def rep_sum(alpha, spec=None):
     """Row sums of a (batch, size) block on the repetition adder tree, in the
     order and with the saturation of :func:`_rep_into`."""
-    return _on_rows(_rep_into, alpha, spec)[1][0]
-
-
-def _rate1_tie_risk(alpha):
-    # Plain SC resolves a zero LLR using neighbouring positions; elementwise
-    # thresholds resolve it locally.  Nonzero inputs provably agree.
-    return (alpha == 0).any(axis=-1)
-
-
-def _spc_tie_risk(alpha):
-    """Rows of a (batch, size) SPC block that plain SC may decode differently.
-
-    A row is flagged when min|alpha| == 0, or when its hard-decision parity
-    is odd and the minimum magnitude occurs at least twice.  Every other row
-    decodes under plain SC exactly as :func:`decode_spc` decodes it.  The
-    decode plan computes the flags inside the SPC kernel.
-
-    Proof, by induction on the size.  Plain SC splits SPC(n) into SPC(n/2) on
-    the f outputs and rate-1(n/2) on the g outputs; SPC(1) is a frozen bit,
-    which decides 0, the parity-repaired hard decision of a nonzero LLR.
-
-    * With no zero, f(far, near) carries the XOR of its pair's signs and
-      min(|far|, |near|) > 0, so the f outputs have no zero and the same
-      parity as alpha.  Rate-1 on nonzero LLRs returns the hard decisions
-      (the same split with g = sign(near)(|near| + |far|) shows it).
-    * Even parity: the left SPC returns its hard decisions, so every g is
-      sign(near)(|near| + |far|) and the right child returns hard(near).  The
-      combined word is the hard decisions of alpha, whatever the ties.
-    * Odd parity, unique minimum: the pair holding the minimum has the
-      unique minimum of the f outputs, so the left SPC flips that pair's bit.
-      That pair's g is then +-||near| - |far|| > 0, signed by the larger
-      magnitude, so the right child flips exactly the minimum's lane, and
-      every other pair keeps its hard decisions.
-    * Saturation clips to +-internal_limit >= 1: it never zeroes a value and
-      never flips a sign.
-    """
-    return _on_rows(_spc_into, alpha, True)[1]
+    a = np.asarray(alpha).T
+    return _rep_into(a, np.empty(a.shape, dtype=np.int8), np.empty_like(a), spec)[0]
 
 
 def _transpose(src, dst):
@@ -427,9 +381,10 @@ def _run(ops, root, spec, exact, hook=None):
             beta, risk = masks[left], None
             if op is NodeKind.RATE1:
                 _hard_masks(a, beta)
-                # a single bit's threshold is plain SC's leaf decision
+                # SC resolves a zero LLR from its neighbours, a threshold
+                # locally; a single bit's threshold is SC's leaf decision
                 if exact and s:
-                    risk = _rate1_tie_risk(a.T)
+                    risk = (a == 0).any(axis=0)
             elif op is NodeKind.SPC:
                 risk = _spc_into(a, beta, free[s], exact)
             elif op is NodeKind.REP:
@@ -448,7 +403,7 @@ def _repair(kind, stage, a, spec):
     The node is decoded as the branch it is: one f, g and combine around two
     children, each decoded by its own shortcut and tie check (the plan of
     :func:`_split_ops`), so a child repairs only the columns it flags.  By
-    the proof on :func:`_spc_tie_risk`, each shortcut that its check passes
+    the proof on :func:`_spc_into`, each shortcut that its check passes
     decides as plain SC, and a size-1 leaf, REP and rate-0 always do, so the
     recursion reproduces plain SC bit for bit.
     """

@@ -86,10 +86,13 @@ def prepare_llr(llr, N, spec=None):
     a decode adds at most N of them, so then no sum overflows.  Float input is
     channel-quantized when a spec is given; integer input is assumed to be raw
     quantized values already and is only range-checked.  Quantized frames come
-    back as L-bit words in the spec's ``word_dtype``.  Decoders only read the
-    returned array.
+    back as L-bit words in the spec's ``word_dtype``.  Any other dtype kind
+    (bool, complex, strings, datetimes, objects) is an error.  Decoders only
+    read the returned array.
     """
     arr = np.asarray(llr)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"LLRs must be real numbers, got dtype {arr.dtype}")
     if arr.ndim == 1:
         arr = arr[None, :]
         single = True

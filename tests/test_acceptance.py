@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import fastssc as fs
-from fastssc.fast import decode_rep, decode_spc
 from fastssc.sim import ChannelConfig, StopRule, draw_messages_and_noise, run_point
 
 QUANT = fs.QuantSpec(4, 5, 0)
@@ -87,12 +86,16 @@ def _int_grid(length, lo=-3, hi=3):
 
 
 def test_03_short_node_decoders_are_ml(capsys):
+    # Each node type is the whole of a one-node code, decoded by the pruned
+    # decoder's shortcut in hardware tie mode.
     rows = 0
     for length in (4, 8):
         grid = _int_grid(length)
+        spc_code = fs.PolarCode.from_frozen_mask(np.arange(length) < 1)
+        rep_code = fs.PolarCode.from_frozen_mask(np.arange(length) < length - 1)
         for start in range(0, grid.shape[0], 500_000):
             alphas = grid[start:start + 500_000]
-            beta = decode_spc(alphas)
+            beta = fs.fast_ssc_decode(spc_code, alphas, tie_mode="hardware").x_hat
             assert not np.bitwise_xor.reduce(beta, axis=1).any()
             score = ((1 - 2 * beta.astype(np.int64)) * alphas).sum(axis=1)
             hd_odd = np.bitwise_xor.reduce((alphas < 0).astype(np.uint8), axis=1).astype(bool)
@@ -101,7 +104,7 @@ def test_03_short_node_decoders_are_ml(capsys):
             best = np.abs(alphas).sum(axis=1) - 2 * np.where(hd_odd, np.abs(alphas).min(axis=1), 0)
             assert (score == best).all(), "single-parity decode is not maximum likelihood"
 
-            rep = decode_rep(alphas)
+            rep = fs.fast_ssc_decode(rep_code, alphas, tie_mode="hardware").x_hat
             total = alphas.sum(axis=1)
             want = (total < 0).astype(np.uint8)[:, None]  # ties go to zeros
             assert (rep == np.repeat(want, length, axis=1)).all()

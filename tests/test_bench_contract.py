@@ -34,8 +34,9 @@ def test_workload_request_passes_its_checks(tmp_path, wl):
 
 def test_traced_names_missing_from_the_library_are_known():
     # The tracer skips a name the library lacks, and its metric then reads 0.
-    # These five were deleted from fast and hw; a rename elsewhere must fail here.
+    # These nine were deleted from fast and hw; a rename elsewhere must fail here.
     missing = {f"{layer}.{name}" for layer, names in tracing.TRACED.items() for name in names
                if not callable(getattr(importlib.import_module(f"fastssc.{layer}"), name, None))}
-    assert missing == {"fast.classify_tree", "fast.decode_rate1", "hw._scalarize",
-                       "hw.rep_hw_decode", "hw.spc_hw_decode"}
+    assert missing == {"fast.classify_tree", "fast.decode_rate1", "fast.decode_rep",
+                       "fast.decode_spc", "fast._rate1_tie_risk", "fast._spc_tie_risk",
+                       "hw._scalarize", "hw.rep_hw_decode", "hw.spc_hw_decode"}

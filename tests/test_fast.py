@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,11 +24,24 @@ from fastssc import (
     sc_decode,
 )
 from fastssc import fast
-from fastssc.fast import _spc_tie_risk, decode_rep, decode_spc, fold_argmin
+from fastssc.fast import _plan, fold_argmin
 from fastssc.reference import prepare_llr
 from fastssc.sim import ChannelConfig, awgn_llr, draw_messages_and_noise
 from conftest import noisy_float_llr, noisy_int_llr, random_code
-from oracles import comparator_fold_argmin, rep_ml_word, spc_ml_optima
+from oracles import comparator_fold_argmin, rep_ml_word, spc_ml_optima, tie_risk
+
+
+def decode_spc(alphas, spec=None):
+    """Hardware-mode decode of (batch, L) LLRs by the one-node SPC code."""
+    mask = np.arange(alphas.shape[1]) < 1
+    return fast_ssc_decode(PolarCode.from_frozen_mask(mask), alphas, spec, tie_mode="hardware").x_hat
+
+
+def decode_rep(alphas, spec=None):
+    """Hardware-mode decode of (batch, L) LLRs by the one-node REP code."""
+    L = alphas.shape[1]
+    mask = np.arange(L) < L - 1
+    return fast_ssc_decode(PolarCode.from_frozen_mask(mask), alphas, spec, tie_mode="hardware").x_hat
 
 
 def kinds_by_preorder(code):
@@ -215,27 +229,36 @@ def test_hardware_mode_diverges_only_at_ties(rng):
 
 @pytest.mark.parametrize("spec", [QuantSpec(4, 5, 0), QuantSpec(3, 3, 0)], ids=str)
 @pytest.mark.parametrize("size,top", [(4, 4), (8, 2)])
-def test_spc_tie_predicate_exhaustive(spec, size, top):
+def test_spc_tie_predicate_exhaustive(monkeypatch, spec, size, top):
     # Every SPC input on the grid {-top..top}^size.  The grid goes in as
     # floats, so at 3,3,0 the channel clips +-4 to +-3 and g saturates at 3.
     alphas = np.array(list(itertools.product(range(-top, top + 1), repeat=size)), dtype=float)
     code = PolarCode.from_frozen_mask(np.array([True] + [False] * (size - 1)))
+    calls = watch_repairs(monkeypatch)
     exact = fast_ssc_decode(code, alphas, spec, tie_mode="exact")
-    assert (exact.x_hat == sc_decode(code, alphas, spec).x_hat).all()
+    sc = sc_decode(code, alphas, spec)
+    assert (exact.x_hat == sc.x_hat).all()
     words, _ = prepare_llr(alphas, size, spec)
+    risk = tie_risk("spc", words)
     even = np.count_nonzero(words < 0, axis=1) % 2 == 0
     nonzero = (words != 0).all(axis=1)
-    assert not _spc_tie_risk(words)[even & nonzero].any()
+    assert not risk[even & nonzero].any()
+    # The kernel's own check hands the repair exactly the rows the rule
+    # flags, and off them the shortcut alone decides as plain SC.
+    assert_repaired_rows(calls, words[risk])
+    hard = fast_ssc_decode(code, alphas, spec, tie_mode="hardware")
+    assert (hard.x_hat[~risk] == sc.x_hat[~risk]).all()
 
 
 def watch_repairs(monkeypatch):
-    """Log ``(depth, kind, stage, columns)`` for every call of the exact-mode
-    repair; depth 0 is a call at a node of the code's own plan, deeper ones
-    come from the split it recurses into."""
+    """Log ``(depth, kind, stage, rows)`` for every call of the exact-mode
+    repair, ``rows`` being the (columns, size) LLRs it was handed; depth 0
+    is a call at a node of the code's own plan, deeper ones come from the
+    split it recurses into."""
     calls, depth, repair = [], [0], fast._repair
 
     def logged(kind, stage, a, spec):
-        calls.append((depth[0], kind, stage, a.shape[1]))
+        calls.append((depth[0], kind, stage, a.T.copy()))
         depth[0] += 1
         try:
             return repair(kind, stage, a, spec)
@@ -245,6 +268,13 @@ def watch_repairs(monkeypatch):
     # the decode looks _repair up when it runs, so the patch sees every call
     monkeypatch.setattr(fast, "_repair", logged)
     return calls
+
+
+def assert_repaired_rows(calls, want):
+    """The rows handed to the repair at the code's own nodes are ``want``,
+    as a multiset."""
+    got = [row for depth, *_, rows in calls if depth == 0 for row in rows.tolist()]
+    assert sorted(got) == sorted(want.tolist())
 
 
 def test_exact_mode_rarely_re_decodes(monkeypatch):
@@ -259,7 +289,7 @@ def test_exact_mode_rarely_re_decodes(monkeypatch):
     calls = watch_repairs(monkeypatch)
     spec = QuantSpec(4, 5, 0)
     out = fast_ssc_decode(code, llr, spec, tie_mode="exact")
-    assert 0 < sum(cols for depth, _, _, cols in calls if depth == 0) < 256
+    assert 0 < sum(len(rows) for depth, _, _, rows in calls if depth == 0) < 256
     assert (out.u_hat == sc_decode(code, llr, spec).u_hat).all()
 
 
@@ -274,6 +304,7 @@ def test_rate1_repair_exhaustive(monkeypatch, spec, size, top):
     sc = sc_decode(code, alphas, spec)
     assert (exact.x_hat == sc.x_hat).all() and (exact.u_hat == sc.u_hat).all()
     assert {depth for depth, *_ in calls} == set(range(size.bit_length() - 1))
+    assert_repaired_rows(calls, alphas[tie_risk("rate1", alphas)])
 
 
 @pytest.mark.parametrize("spec", [None, QuantSpec(4, 5, 0), QuantSpec(3, 3, 0)], ids=str)
@@ -376,6 +407,32 @@ def test_latency_single_node_codes():
     assert latency_model(classified(rep)).total_cycles == 10
 
 
+@pytest.mark.parametrize("K,total,optional,counts", [
+    (512, 333, 38, {("f", False): 64, ("f", True): 19, ("g", False): 83,
+                    ("combine", False): 83, ("rate0", True): 19, ("rate1", False): 15,
+                    ("rep", False): 23, ("spc", False): 27}),
+    (870, 177, 2, {("f", False): 43, ("f", True): 1, ("g", False): 44,
+                   ("combine", False): 44, ("rate0", True): 1, ("rate1", False): 12,
+                   ("rep", False): 17, ("spc", False): 15}),
+])
+def test_plan_op_counts_of_the_ga_codes(K, total, optional, counts):
+    # An op added to the plan, or an update that only feeds a rate-0 child
+    # left mandatory, costs time without changing one bit.
+    ops = _plan(construct_code(1024, K, 2.0)).ops
+    got = Counter((op if isinstance(op, str) else op.value, opt) for op, _, opt, *_ in ops)
+    assert got == counts
+    assert len(ops) == total and sum(opt for _, _, opt, *_ in ops) == optional
+
+
+def test_plan_skips_the_combine_over_a_rate0_right_child():
+    # The GA codes have no rate-0 right child.  Here the right half is all
+    # frozen: its g update and its leaf only run under a hook, and the
+    # combine would XOR zeros, so it is left out.
+    ops = _plan(PolarCode.from_frozen_mask(np.array([False, False, True, True]))).ops
+    got = [(op if isinstance(op, str) else op.value, opt) for op, _, opt, *_ in ops]
+    assert got == [("f", False), ("rate1", False), ("g", True), ("rate0", True)]
+
+
 def test_latency_never_exceeds_n_minus_1(rng):
     for _ in range(100):
         N = 2 ** int(rng.integers(2, 9))
@@ -442,10 +499,8 @@ def test_plan_agrees_with_plain_sc_and_the_datapath(n, seed, spec, raw, grid, fr
     flagged = np.zeros(shape[0], dtype=bool)
 
     def tie_predicates(node, op, inp, out):
-        if op == "rate1":
-            flagged[fast._rate1_tie_risk(inp)] = True
-        elif op == "spc":
-            flagged[fast._spc_tie_risk(inp)] = True
+        if op in ("rate1", "spc"):
+            flagged[tie_risk(op, inp)] = True
 
     hard = fast._walk(code, llr, spec, "hardware", tie_predicates)
     assert (hard.x_hat == fast_ssc_decode(code, llr, spec, tie_mode="hardware").x_hat).all()

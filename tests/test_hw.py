@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastssc import (
     PolarCode,
@@ -17,6 +18,7 @@ from fastssc import (
 )
 from fastssc.fast import _plan
 from conftest import DATA_DIR, noisy_int_llr, random_code
+from oracles import scalar_datapath_decode
 
 SPEC = QuantSpec(4, 5, 0)
 
@@ -156,3 +158,26 @@ def test_decoding_caches_one_private_attribute(rng):
     hw_decode_frame(PuTree(64, SPEC), code, llr, trace=True)
     private = [name for name in vars(code) if name.startswith("_")]
     assert len(private) <= 1
+
+
+@settings(max_examples=150)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 3),
+       spec=st.sampled_from([SPEC, QuantSpec(3, 3, 0), QuantSpec(5, 6, 1), QuantSpec(6, 10, 2)]))
+def test_datapath_matches_the_scalar_model(n, seed, frames, spec):
+    # Small words make ties and parity repairs common; words at the internal
+    # limit make sums saturate.
+    rng = np.random.default_rng(seed)
+    N = 1 << n
+    code = random_code(N, rng)
+    lim = spec.internal_limit
+    words = rng.integers(-3, 4, size=(frames, N))
+    words[rng.random(words.shape) < 0.1] = lim
+    words = (words * rng.choice([-1, 1], size=words.shape)).clip(-lim, lim)
+    hw = hw_decode_frame(PuTree(N, spec), code, words, trace=True)
+    for i, frame in enumerate(words):
+        u, x, cycles, no_precompute, steps = scalar_datapath_decode(code.frozen, frame, spec)
+        assert hw.u_hat[i].tolist() == u and hw.x_hat[i].tolist() == x
+        assert hw.cycle_trace.total_cycles == cycles
+        assert latency_model(hw.cycle_trace.entries, precompute=False).total_cycles == no_precompute
+        if i == 0:
+            assert [(r["cycle"], r["stage"], r["op"]) for r in hw.trace_rows] == steps

@@ -3,6 +3,7 @@ import pytest
 
 from fastssc import (
     PolarCode,
+    PuTree,
     QuantSpec,
     combine_beta,
     construct_code,
@@ -11,6 +12,7 @@ from fastssc import (
     fast_ssc_decode,
     g_function,
     hard_decision,
+    hw_decode_frame,
     sc_decode,
     sc_latency_cycles,
     two_bit_precomputed_cycles,
@@ -143,6 +145,23 @@ def test_float_llrs_beyond_max_over_n_are_rejected_by_every_decoder():
                    lambda code, llr: fast_ssc_decode(code, llr, tie_mode="hardware")):
         with pytest.raises(ValueError, match=r"finite with \|llr\| <= float64 max / N"):
             decode(code, frame)
+
+
+@pytest.mark.parametrize("llr", [
+    np.full(16, 1.5 - 2j), np.full(16, "1.5"), np.full(16, b"-2"), np.full(16, True),
+    np.full(16, np.datetime64(3, "s")), np.full(16, np.timedelta64(3, "s")),
+    np.full(16, 2.0, dtype=object),
+], ids=["complex", "str", "bytes", "bool", "datetime64", "timedelta64", "object"])
+def test_decoders_reject_llrs_that_are_not_real_numbers(llr):
+    # A cast to float or to words would decode each of these silently.
+    code = construct_code(16, 8, 2.0)
+    spec = QuantSpec(4, 5, 0)
+    for decode in (lambda x: sc_decode(code, x), lambda x: sc_decode(code, x, spec),
+                   lambda x: fast_ssc_decode(code, x),
+                   lambda x: fast_ssc_decode(code, x, spec),
+                   lambda x: hw_decode_frame(PuTree(16), code, x)):
+        with pytest.raises(ValueError, match="real numbers"):
+            decode(llr)
 
 
 def test_float_llrs_up_to_max_over_n_decode_like_plain_sc(rng):
