@@ -129,7 +129,10 @@ def _load_frames(path, N):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(t) for t in line.replace(",", " ").split()]
+            fields = line.split(",")
+            if not all(f.strip() for f in fields):
+                raise ValueError(f"empty field in frame line {line!r}")
+            vals = [float(t) for f in fields for t in f.split()]
             if len(vals) != N:
                 raise ValueError(f"frame length {len(vals)} does not match N={N}")
             frames.append(vals)
@@ -218,7 +221,8 @@ def build_parser():
     p = sub.add_parser("decode", help="decode frames from a file or a seeded random channel")
     _add_code_args(p)
     _add_decoder_args(p)
-    p.add_argument("--frame-file", help="text file, one whitespace-separated LLR frame per line")
+    p.add_argument("--frame-file",
+                   help="text file, one LLR frame per line, values split by whitespace or commas")
     p.add_argument("--ebn0", type=float, default=2.0, help="channel Eb/N0 for random frames")
     p.add_argument("--frames", type=int, default=1, help="number of random frames")
     p.add_argument("--trace", help="write per-cycle JSON lines (hw decoder only)")

@@ -260,6 +260,8 @@ def read_frozen_file(path):
         raise ValueError(f"first line must be 'N K', got {lines[0]!r}")
     N, K = int(head[0]), int(head[1])
     _check_size(N, K)
+    if any(line.strip() for line in lines[2:]):
+        raise ValueError("frozen-set file must have at most two non-empty lines")
     body = lines[1].split() if len(lines) > 1 else []
     indices = np.array(sorted(int(t) for t in body), dtype=np.int64)
     if len(indices) != N - K:

@@ -64,8 +64,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import construct_code, polar_transform
-from .reference import DecodeResult, prepare_llr
+from .core import construct_code
+from .reference import decode_result, prepare_llr
 
 
 class NodeKind(enum.Enum):
@@ -139,8 +139,8 @@ def _classify_mask(mask):
 
 
 def fold_argmin(mags):
-    """Per row of a (batch, size) block, size a power of two, the index of
-    the minimum as a strict-less comparator tree finds it.
+    """Per column of a (size, batch) block, size a power of two, the index
+    of the minimum as a strict-less comparator tree finds it.
 
     Each round compares the low half of the surviving lanes against the high
     half; the challenger wins only when strictly smaller.  With a unique
@@ -152,8 +152,8 @@ def fold_argmin(mags):
     bit-reversed index.  That is a first-occurrence argmin over the lanes in
     bit-reversed order.
     """
-    order = _bit_reversal(mags.shape[1])
-    return order[np.argmin(mags[:, order], axis=1)]
+    order = _bit_reversal(len(mags))
+    return order[np.argmin(mags[order], axis=0)]
 
 
 @functools.cache
@@ -236,20 +236,6 @@ def _rep_into(a, out, scratch, spec=None):
     return a
 
 
-def rep_sum(alpha, spec=None):
-    """Row sums of a (batch, size) block on the repetition adder tree, in the
-    order and with the saturation of :func:`_rep_into`."""
-    a = np.asarray(alpha).T
-    return _rep_into(a, np.empty(a.shape, dtype=np.int8), np.empty_like(a), spec)[0]
-
-
-def _transpose(src, dst):
-    """Copy ``src.T`` into ``dst``, in blocks of source rows that stay in cache."""
-    step = max(32, 16384 // max(src.shape[1], 1))
-    for i in range(0, len(src), step):
-        dst[:, i : i + step] = src[i : i + step].T
-
-
 def _plan(code):
     """The code's :class:`DecodePlan`, built once and cached on the code."""
     plan = getattr(code, "_decode_plan", None)
@@ -296,22 +282,13 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
 def _walk(code, llr, spec, tie_mode, hook=None):
     """Decode one frame or a (batch, N) block by running the code's plan.
 
-    The LLRs go through :func:`~fastssc.reference.prepare_llr` with ``spec``,
-    and the result has the input's shape: one frame in, one frame out.  The
-    frames are transposed into one (N, batch) root for :func:`_run`, and the
-    transform of its codeword estimate, which is its own inverse, gives
-    ``u_hat``.
+    :func:`~fastssc.reference.prepare_llr` gives :func:`_run` its root, and
+    :func:`~fastssc.reference.decode_result` returns its estimate, negated to
+    0/1, in the input's shape: one frame in, one frame out.
     """
-    frames, single = prepare_llr(llr, code.N, spec)
-    batch, N = frames.shape
-    root = np.empty((N, batch), dtype=frames.dtype)
-    _transpose(frames, root)
+    root, single = prepare_llr(llr, code.N, spec)
     masks = _run(_plan(code).ops, root, spec, tie_mode == "exact", hook)
-    np.negative(masks, out=masks)
-    x_hat = np.empty((batch, N), dtype=np.uint8)
-    _transpose(masks, x_hat)
-    u_hat = polar_transform(x_hat)
-    return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
+    return decode_result(np.negative(masks, out=masks), single)
 
 
 def _run(ops, root, spec, exact, hook=None):
@@ -322,7 +299,7 @@ def _run(ops, root, spec, exact, hook=None):
     repaired by :func:`_repair`.  ``root`` is only read.
 
     ``hook(node, op, inp, out)``, when given, sees every update in decode
-    order.  Its arguments are (batch, size) views of the plan's buffers, or
+    order.  Its arguments are (size, batch) views of the plan's buffers, or
     for estimates 0/1 copies of its masks, valid only during the call.  A
     branch reports ``op="f"`` with its LLRs in and the left child's LLRs out,
     then ``op="g"`` with the left child's estimate in and the right child's
@@ -361,7 +338,7 @@ def _run(ops, root, spec, exact, hook=None):
             np.negative(tmp, out=tmp)
             np.maximum(out, tmp, out=out)
             if hook:
-                hook(node, "f", a.T, out.T)
+                hook(node, "f", a, out)
         elif op == "g":
             out, m, half = alpha[s - 1], masks[left], len(a) // 2
             if spec is None:
@@ -374,7 +351,7 @@ def _run(ops, root, spec, exact, hook=None):
             if spec is not None:
                 out.clip(-lim, lim, out=out)
             if hook:
-                hook(node, "g", np.negative(m).T, out.T)
+                hook(node, "g", np.negative(m), out)
         elif op == "combine":
             np.bitwise_xor(masks[left], masks[right], out=masks[left])
         else:
@@ -392,7 +369,7 @@ def _run(ops, root, spec, exact, hook=None):
             if risk is not None and risk.any():
                 beta[:, risk] = _repair(op, s, a[:, risk], spec)
             if hook:
-                hook(node, op.value, a.T, np.negative(beta).T)
+                hook(node, op.value, a, np.negative(beta))
     return masks
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import ScheduleReport, _node_steps, _plan, _walk, fold_argmin, rep_sum
+from .fast import ScheduleReport, _node_steps, _plan, _rep_into, _walk, fold_argmin
 from .quant import QuantSpec
 from .reference import DecodeResult, hard_decision
 
@@ -65,13 +65,13 @@ def _tracer(rows, spec):
             return
         for layer, unit, step in _node_steps(node.kind, node.stage):
             cycle += 1
-            log(cycle, layer, unit, step, *_step_values(step, layer, inp[:1], out[:1], spec))
+            log(cycle, layer, unit, step, *_step_values(step, layer, inp[:, :1], out[:, :1], spec))
 
     return hook
 
 
 def _step_values(op, layer, inp, out, spec):
-    """The ``(in, out)`` a plan step logs for a node's (1, size) frame."""
+    """The ``(in, out)`` a plan step logs for a node's (size, 1) frame."""
     if op in ("f", "rate0"):
         return None, out[0, 0].item()
     if op == "rate1":
@@ -81,10 +81,10 @@ def _step_values(op, layer, inp, out, spec):
         return int((out != hard_decision(inp)).any()), None
     # After the comparator or adder round that leaves 2**layer lanes, lane 0
     # has combined every (2**layer)-th input, in the kernel's own order.
-    lanes = inp[:, :: 1 << layer]
+    lanes = inp[:: 1 << layer]
     if op == "rep_accumulate":
-        return None, rep_sum(lanes, spec)[0].item()
-    return None, lanes[0, fold_argmin(np.abs(lanes))[0]].item()
+        return None, _rep_into(lanes, np.empty_like(lanes), np.empty_like(lanes), spec).item()
+    return None, lanes[fold_argmin(np.abs(lanes))[0], 0].item()
 
 
 @dataclass

@@ -5,7 +5,9 @@ the package is checked against.  Conventions, used consistently everywhere:
 
 * min-sum check update with sign(0) = +1,
 * hard decision maps LLR >= 0 to bit 0,
-* frozen leaves decide 0 regardless of their LLR.
+* frozen leaves decide 0 regardless of their LLR,
+* inside a decoder, blocks are (size, batch), frames along the columns;
+  :func:`prepare_llr` and :func:`decode_result` are the only axis switches.
 
 Decoders accept float LLRs or, when a :class:`~fastssc.quant.QuantSpec` is
 given, raw quantized integers (floats are channel-quantized on entry); all
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import polar_transform
 from .quant import QuantSpec, quantize_channel, sat_add, validate_quantized
 
 
@@ -69,26 +72,34 @@ def hard_decision(a):
 
 
 def combine_beta(beta_left, beta_right):
-    """Stitch child codeword estimates: [left XOR right, right]."""
+    """Stitch child codeword estimates: [left XOR right, right], stacked
+    along axis 0, which holds the positions in a (size, batch) block."""
     beta_left = np.asarray(beta_left, dtype=np.uint8)
     beta_right = np.asarray(beta_right, dtype=np.uint8)
     if beta_left.shape != beta_right.shape:
         raise ValueError("child estimates must have equal length")
-    return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1)
+    return np.concatenate([beta_left ^ beta_right, beta_right])
+
+
+def _transpose(src, dst):
+    """Copy ``src.T`` into ``dst``, in blocks of source rows that stay in cache."""
+    step = max(32, 16384 // max(src.shape[1], 1))
+    for i in range(0, len(src), step):
+        dst[:, i : i + step] = src[i : i + step].T
 
 
 def prepare_llr(llr, N, spec=None):
-    """Normalize decoder input to a 2-D (batch, N) array.
+    """Turn one frame or a (batch, N) block into a C-contiguous (N, batch)
+    array, frames along the columns, plus a flag telling whether the input was
+    a single frame.  Decoders only read the returned array.
 
-    Returns the array plus a flag telling whether the input was a single frame.
-    Without a spec the LLRs come back as float64 (not copied if they already
-    are) and must satisfy |llr| <= float64 max / N, which rejects NaN and inf:
-    a decode adds at most N of them, so then no sum overflows.  Float input is
-    channel-quantized when a spec is given; integer input is assumed to be raw
-    quantized values already and is only range-checked.  Quantized frames come
-    back as L-bit words in the spec's ``word_dtype``.  Any other dtype kind
-    (bool, complex, strings, datetimes, objects) is an error.  Decoders only
-    read the returned array.
+    Without a spec the LLRs come back as float64 and must satisfy |llr| <=
+    float64 max / N, which rejects NaN and inf: a decode adds at most N of
+    them, so then no sum overflows.  Float input is channel-quantized when a
+    spec is given; integer input is assumed to be raw quantized values already
+    and is only range-checked.  Quantized frames come back as L-bit words in
+    the spec's ``word_dtype``.  Any other dtype kind (bool, complex, strings,
+    datetimes, objects) is an error.
     """
     arr = np.asarray(llr)
     if arr.dtype.kind not in "iuf":
@@ -112,7 +123,19 @@ def prepare_llr(llr, N, spec=None):
         arr = validate_quantized(arr, spec)
     else:
         arr = quantize_channel(arr, spec)
-    return arr, single
+    cols = np.empty((N, len(arr)), dtype=arr.dtype)
+    _transpose(arr, cols)
+    return cols, single
+
+
+def decode_result(x_cols, single):
+    """The :class:`DecodeResult` of a (N, batch) 0/1 codeword estimate: uint8
+    ``x_hat`` with frames along the rows, ``u_hat`` its (self-inverse)
+    transform, and one frame unwrapped when ``single``."""
+    x_hat = np.empty(x_cols.shape[::-1], dtype=np.uint8)
+    _transpose(x_cols, x_hat)
+    u_hat = polar_transform(x_hat)
+    return DecodeResult(u_hat[0], x_hat[0]) if single else DecodeResult(u_hat, x_hat)
 
 
 def sc_decode(code, llr, spec=None):
@@ -132,26 +155,14 @@ def sc_decode(code, llr, spec=None):
         ``u_hat`` has zeros at frozen positions; ``x_hat`` is its re-encoding.
     """
     alpha, single = prepare_llr(llr, code.N, spec)
-    batch = alpha.shape[0]
-    u_hat = np.zeros((batch, code.N), dtype=np.uint8)
-    frozen = code.frozen
 
-    def recurse(a, lo, hi):
-        if hi - lo == 1:
-            if frozen[lo]:
-                beta = np.zeros((batch, 1), dtype=np.uint8)
-            else:
-                beta = hard_decision(a)
-            u_hat[:, lo] = beta[:, 0]
-            return beta
-        half = (hi - lo) // 2
-        near, far = a[:, half:], a[:, :half]
-        beta_l = recurse(f_min_sum(far, near), lo, lo + half)
-        beta_r = recurse(g_function(beta_l, near, far, spec), lo + half, hi)
+    def recurse(a, lo):
+        if len(a) == 1:
+            return np.zeros(a.shape, dtype=np.uint8) if code.frozen[lo] else hard_decision(a)
+        half = len(a) // 2
+        far, near = a[:half], a[half:]
+        beta_l = recurse(f_min_sum(far, near), lo)
+        beta_r = recurse(g_function(beta_l, near, far, spec), lo + half)
         return combine_beta(beta_l, beta_r)
 
-    x_hat = recurse(alpha, 0, code.N)
-    if single:
-        return DecodeResult(u_hat[0], x_hat[0])
-    return DecodeResult(u_hat, x_hat)
-
+    return decode_result(recurse(alpha, 0), single)

@@ -193,6 +193,18 @@ def test_decode_frame_file_rejects_nan(tmp_path, capsys):
     assert "u_hat" not in out
 
 
+def test_decode_frame_file_rejects_empty_fields(tmp_path, capsys):
+    path = tmp_path / "frames.txt"
+    path.write_text("1.5,,-2\n")
+    rc, out, err = run_cli(capsys, "decode", "--n", "2", "--k", "1", "--frame-file", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # whitespace or commas alone still separate values
+    for text in ("1.5 -2\n", "1.5,-2\n", "1.5, -2\n"):
+        path.write_text(text)
+        assert run_cli(capsys, "decode", "--n", "2", "--k", "1", "--frame-file", str(path))[0] == 0
+
+
 def test_decode_frame_file_rejects_llrs_beyond_max_over_n(tmp_path, capsys):
     path = tmp_path / "frames.txt"
     path.write_text(" ".join(["-1e308"] + ["1e308"] * 15) + "\n")

@@ -179,6 +179,7 @@ def test_frozen_file_roundtrip(tmp_path, rng):
         "8 4\n0 1 2 9\n",        # out of range
         "8 4\n0 1 2 2\n",        # duplicate
         "6 3\n0 1 2\n",          # N not a power of two
+        "4 2\n0 1\n0 2\n",       # a line after the indices
     ],
 )
 def test_frozen_file_rejects_malformed(tmp_path, text):

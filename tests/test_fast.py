@@ -101,15 +101,15 @@ def test_node_ids_are_unique_preorder(rng):
 def test_fold_argmin_matches_argmin_when_unique(rng):
     for _ in range(50):
         n = 2 ** int(rng.integers(1, 6))
-        vals = rng.permutation(100)[:n].reshape(1, n)
+        vals = rng.permutation(100)[:n].reshape(n, 1)
         assert fold_argmin(vals)[0] == np.argmin(vals)
 
 
 def test_fold_argmin_tie_follows_comparator_order():
     # |a| = [3,1,1,1]: lanes 1 and 3 tie first (keep 1), lanes 0 and 2 pick 2,
     # then 1-vs-2 ties and the fold keeps the lane holding index 2.
-    assert fold_argmin(np.array([[3, 1, 1, 1]])).tolist() == [2]
-    assert fold_argmin(np.array([[0, 5, 0, 5]])).tolist() == [0]
+    assert fold_argmin(np.array([[3, 1, 1, 1]]).T).tolist() == [2]
+    assert fold_argmin(np.array([[0, 5, 0, 5]]).T).tolist() == [0]
 
 
 def test_fold_argmin_matches_comparator_tree(rng):
@@ -118,7 +118,7 @@ def test_fold_argmin_matches_comparator_tree(rng):
     blocks = [np.array(list(itertools.product(range(3), repeat=n))) for n in (1, 2, 4, 8)]
     blocks += [rng.integers(0, 4, size=(200, n)) for n in (16, 64, 256, 1024)]
     for mags in blocks:
-        assert fold_argmin(mags).tolist() == [comparator_fold_argmin(row) for row in mags]
+        assert fold_argmin(mags.T).tolist() == [comparator_fold_argmin(row) for row in mags]
 
 
 def test_decode_spc_parity_and_flip():
@@ -238,7 +238,7 @@ def test_spc_tie_predicate_exhaustive(monkeypatch, spec, size, top):
     exact = fast_ssc_decode(code, alphas, spec, tie_mode="exact")
     sc = sc_decode(code, alphas, spec)
     assert (exact.x_hat == sc.x_hat).all()
-    words, _ = prepare_llr(alphas, size, spec)
+    words = prepare_llr(alphas, size, spec)[0].T
     risk = tie_risk("spc", words)
     even = np.count_nonzero(words < 0, axis=1) % 2 == 0
     nonzero = (words != 0).all(axis=1)
@@ -500,7 +500,7 @@ def test_plan_agrees_with_plain_sc_and_the_datapath(n, seed, spec, raw, grid, fr
 
     def tie_predicates(node, op, inp, out):
         if op in ("rate1", "spc"):
-            flagged[tie_risk(op, inp)] = True
+            flagged[tie_risk(op, inp.T)] = True
 
     hard = fast._walk(code, llr, spec, "hardware", tie_predicates)
     assert (hard.x_hat == fast_ssc_decode(code, llr, spec, tie_mode="hardware").x_hat).all()

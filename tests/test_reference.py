@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fastssc.reference
 from fastssc import (
     PolarCode,
     PuTree,
@@ -47,11 +51,29 @@ def test_hard_decision_zero_is_zero():
 
 
 def test_combine_beta():
-    left = np.array([[0, 1]], dtype=np.uint8)
-    right = np.array([[1, 1]], dtype=np.uint8)
-    assert combine_beta(left, right).tolist() == [[1, 0, 1, 1]]
+    # (size, batch) blocks stack along axis 0
+    left = np.array([[0], [1]], dtype=np.uint8)
+    right = np.array([[1], [1]], dtype=np.uint8)
+    assert combine_beta(left, right).tolist() == [[1], [0], [1], [1]]
     with pytest.raises(ValueError):
-        combine_beta(np.zeros((1, 2), np.uint8), np.zeros((1, 4), np.uint8))
+        combine_beta(np.zeros((2, 1), np.uint8), np.zeros((4, 1), np.uint8))
+
+
+def test_oracle_imports_nothing_from_the_pruned_decoders():
+    # Acceptance 1 compares two implementations; an oracle built on the
+    # plan's kernels would compare the plan with itself.
+    tree = ast.parse(Path(fastssc.reference.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "fastssc" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported, "the parse found no imports at all"
+    assert not {m for m in imported if m.split(".")[:2] in (["fastssc", "fast"], ["fastssc", "hw"])}
 
 
 def test_sc_decode_hand_worked_n4():
@@ -188,8 +210,20 @@ def test_prepare_llr_returns_word_dtype(bits, dtype):
                       (np.array([1, -1, 0, 1], dtype=np.int64), [1, -1, 0, 1])):
         arr, _ = prepare_llr(llr, 4, spec)
         assert arr.dtype == dtype
-        assert arr.tolist() == [want]
+        assert arr.T.tolist() == [want]
     assert prepare_llr(np.array([1, -1, 0, 1]), 4)[0].dtype == np.float64
+    # Every decoder works on C-contiguous (N, batch) columns, and a single
+    # frame comes back as one.
+    for llr, batch, single in ((np.array([0.4, -3.0, 1.0, 0.0]), 1, True),
+                               (np.zeros((0, 4)), 0, False),
+                               (np.arange(12.0).reshape(3, 4)[:, ::-1], 3, False)):
+        for arr, got_single in (prepare_llr(llr, 4), prepare_llr(llr, 4, spec)):
+            assert arr.shape == (4, batch) and arr.flags.c_contiguous
+            assert got_single is single
+    code = construct_code(4, 2, 2.0)
+    for decode in (sc_decode, fast_ssc_decode):
+        out = decode(code, np.array([0.4, -3.0, 1.0, 0.0]), spec)
+        assert out.u_hat.shape == out.x_hat.shape == (4,)
 
 
 def test_sc_decode_validates_quantized_inputs():
