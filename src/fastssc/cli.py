@@ -159,17 +159,13 @@ def cmd_decode(args):
         cfg = sim.ChannelConfig(args.ebn0, code.rate, args.seed)
         tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
         llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
+    decode = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)
+    result = decode(llr, trace=True) if args.trace else decode(llr)
+    if args.trace:
+        hw.write_trace_jsonl(args.trace, result)
     if args.decoder == "hw":
-        tree = hw.PuTree(code.N, quant)
-        result = hw.hw_decode_frame(tree, code, llr, trace=bool(args.trace))
-        if args.trace:
-            hw.write_trace_jsonl(args.trace, result)
         print(f"cycles={result.cycle_trace.total_cycles}")
-        u_hat = result.u_hat
-    else:
-        decode = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)
-        u_hat = decode(llr).u_hat
-    for i, row in enumerate(u_hat):
+    for i, row in enumerate(result.u_hat):
         info = row[code.info_indices]
         print(f"frame={i} u_hat={_bits_str(row)}")
         print(f"frame={i} info={_bits_str(info)}")

@@ -35,9 +35,9 @@ class CodeConstruction:
     design_snr_db: float | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PolarCode:
-    """A polar code: block length, dimension, and frozen-position mask."""
+    """A polar code: block length, dimension, and frozen-position mask (read-only)."""
 
     N: int
     K: int
@@ -46,8 +46,8 @@ class PolarCode:
 
     def __post_init__(self):
         _check_size(self.N, self.K)
-        # A private read-only copy: decoding caches the classified tree on the code.
-        self.frozen = np.array(self.frozen, dtype=bool)
+        # A private read-only copy: decoding caches the code's plan on the code.
+        object.__setattr__(self, "frozen", np.array(self.frozen, dtype=bool))
         self.frozen.flags.writeable = False
         if self.frozen.shape != (self.N,):
             raise ValueError("frozen mask length must equal N")

@@ -240,7 +240,8 @@ def _plan(code):
     """The code's :class:`DecodePlan`, built once and cached on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        plan = code._decode_plan = DecodePlan(*_tree(code.frozen, code.n))
+        plan = DecodePlan(*_tree(code.frozen, code.n))
+        object.__setattr__(code, "_decode_plan", plan)  # the code is frozen
     return plan
 
 

@@ -58,6 +58,8 @@ def _tracer(rows, spec):
 
     def hook(node, op, inp, out):
         nonlocal cycle
+        if not inp.shape[1]:  # an empty batch has no first frame
+            return
         if op == "g":
             # Both update candidates were banked in the f cycle, so the
             # select lands in the left child's last cycle.

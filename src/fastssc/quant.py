@@ -82,6 +82,14 @@ def saturate(values, bits):
 _ROW_BLOCK = 64
 
 
+def _real_array(llr):
+    """``llr`` as an array; a dtype kind other than integer or float is an error."""
+    arr = np.asarray(llr)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"LLRs must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def quantize_channel(llr, spec):
     """Quantize float channel LLRs to raw integers.
 
@@ -92,8 +100,8 @@ def quantize_channel(llr, spec):
 
     Parameters
     ----------
-    llr : array_like of float
-        Channel LLRs in natural units.
+    llr : array_like of int or float
+        Channel LLRs in natural units; any other dtype kind is rejected.
     spec : QuantSpec
 
     Returns
@@ -101,7 +109,7 @@ def quantize_channel(llr, spec):
     ndarray of ``spec.word_dtype``
         Raw integers encoding value * 2**F, the decoders' word format.
     """
-    x = np.asarray(llr, dtype=np.float64)
+    x = _real_array(llr).astype(np.float64, copy=False)
     raw = np.empty(x.shape, dtype=spec.word_dtype)
     rows, out_rows = np.atleast_2d(x), np.atleast_2d(raw)
     mags = np.empty(rows[:_ROW_BLOCK].shape)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import polar_transform
-from .quant import QuantSpec, quantize_channel, sat_add, validate_quantized
+from .quant import QuantSpec, _real_array, quantize_channel, sat_add, validate_quantized
 
 
 @dataclass
@@ -101,9 +101,7 @@ def prepare_llr(llr, N, spec=None):
     the spec's ``word_dtype``.  Any other dtype kind (bool, complex, strings,
     datetimes, objects) is an error.
     """
-    arr = np.asarray(llr)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"LLRs must be real numbers, got dtype {arr.dtype}")
+    arr = _real_array(llr)
     if arr.ndim == 1:
         arr = arr[None, :]
         single = True

@@ -154,10 +154,9 @@ def awgn_llr(codeword, cfg, noise):
     return noise
 
 
-def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
-    """Bind a decoder name to a callable ``llr -> DecodeResult``.
-
-    The result carries both ``u_hat`` and the codeword estimate ``x_hat``.
+def make_decoder(code, decoder, quant, tie_mode):
+    """Bind :func:`run_point`'s decoder settings to a callable ``llr ->
+    DecodeResult``; the ``"hw"`` one also takes ``hw_decode_frame``'s ``trace``.
     """
     if decoder == "sc":
         return lambda llr: sc_decode(code, llr, quant)
@@ -165,7 +164,7 @@ def make_decoder(code, decoder="fast_ssc", quant=None, tie_mode="exact"):
         return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode)
     if decoder == "hw":
         tree = PuTree(code.N, quant)
-        return lambda llr: hw_decode_frame(tree, code, llr)
+        return lambda llr, trace=False: hw_decode_frame(tree, code, llr, trace)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
@@ -202,6 +201,9 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
               stop=StopRule(), batch=2048, workers=1):
     """Simulate one Eb/N0 point until the stop rule fires.
 
+    ``decoder`` is ``"sc"``, ``"fast_ssc"`` or ``"hw"``.  A ``quant`` spec
+    runs it in fixed point; ``"hw"`` defaults to :class:`~fastssc.hw.PuTree`'s.
+    ``tie_mode`` resolves ties in ``"fast_ssc"`` (see :mod:`fastssc.fast`).
     Each round decodes up to ``batch * workers`` frames in chunks of
     ``batch``: inline at one worker, on a thread pool above one.
     """
@@ -221,36 +223,15 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
     return stats
 
 
-def run_ber_sweep(code, ebn0_list, decoder="fast_ssc", quant=None, tie_mode="exact",
-                  stop=StopRule(), seed=0, batch=2048, workers=1):
-    """BER/FER at each Eb/N0 point.
+def run_ber_sweep(code, ebn0_list, seed=0, **point):
+    """BER/FER at each Eb/N0 point in dB, as a list of (ebn0_db, TrialStats).
 
-    Parameters
-    ----------
-    code : PolarCode
-    ebn0_list : sequence of float
-        Eb/N0 points in dB.
-    decoder : str
-        ``"sc"``, ``"fast_ssc"``, or ``"hw"``.
-    quant : QuantSpec, optional
-        Run the decoder in fixed point; ``"hw"`` defaults to
-        :class:`~fastssc.hw.PuTree`'s spec.
-    tie_mode : str
-        Tie resolution for ``"fast_ssc"`` (see :mod:`fastssc.fast`).
-    stop : StopRule
-    seed : int
-        In 0..2**64-1.  Every frame's randomness derives from (seed, frame
-        index), so results do not depend on batching or worker count.
-
-    Returns
-    -------
-    list of (ebn0_db, TrialStats)
+    ``seed`` is in 0..2**64-1: every frame's randomness derives from (seed,
+    frame index), so results do not depend on batching or worker count.
+    Every other keyword is passed to :func:`run_point`.
     """
-    out = []
-    for ebn0 in ebn0_list:
-        cfg = ChannelConfig(ebn0, code.rate, seed)
-        out.append((ebn0, run_point(code, cfg, decoder, quant, tie_mode, stop, batch, workers)))
-    return out
+    return [(ebn0, run_point(code, ChannelConfig(ebn0, code.rate, seed), **point))
+            for ebn0 in ebn0_list]
 
 
 def throughput_gbps(K, cycles, freq_ghz):

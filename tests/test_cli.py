@@ -77,10 +77,12 @@ def test_decode_random_frame_matches(capsys):
 def test_decode_frame_file(tmp_path, capsys):
     # noiseless all-zero frame: decoder must return the zero word
     path = tmp_path / "frames.txt"
-    path.write_text(" ".join(["5.0"] * 16) + "\n")
+    # blank lines are skipped
+    path.write_text("\n" + " ".join(["5.0"] * 16) + "\n\n")
     rc, out, _ = run_cli(capsys, "decode", "--n", "16", "--k", "8", "--frame-file", str(path))
     assert rc == 0
     assert "u_hat=0000000000000000" in out
+    assert out.count("u_hat=") == 1
 
 
 def test_decode_hw_with_trace(tmp_path, capsys):
@@ -91,6 +93,22 @@ def test_decode_hw_with_trace(tmp_path, capsys):
     assert "cycles=" in out
     rows = [json.loads(l) for l in trace.read_text().splitlines()]
     assert rows and set(rows[0]) == {"cycle", "stage", "unit", "op", "in", "out"}
+
+
+def test_decode_matches_golden(tmp_path, capsys):
+    # goldens of three GA-2.0 (64,32) frames at 2 dB pin decode's stdout and trace
+    trace = tmp_path / "trace.jsonl"
+    for name, extra in [
+        ("sc", ("--decoder", "sc")),
+        ("fast_ssc_q450_hardware",
+         ("--decoder", "fast-ssc", "--quant", "4,5,0", "--tie-mode", "hardware")),
+        ("hw_trace", ("--decoder", "hw", "--trace", str(trace))),
+    ]:
+        rc, out, err = run_cli(capsys, "decode", "--n", "64", "--k", "32", "--ebn0", "2",
+                               "--frames", "3", *extra)
+        assert (rc, err) == (0, "")
+        assert out == (DATA_DIR / f"decode_ga64_32_{name}.txt").read_text()
+    assert trace.read_bytes() == (DATA_DIR / "decode_ga64_32_hw_trace.jsonl").read_bytes()
 
 
 def test_ber_csv_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,6 +122,11 @@ def test_frozen_mask_is_a_read_only_copy(rng):
     fast_ssc_decode(code, rng.normal(size=(4, 16)))
     with pytest.raises(ValueError):
         code.frozen[:] = np.tile([True, False], 8)
+    # nor can a field be replaced
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.frozen = np.tile([True, False], 8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.K = 7
 
 
 def test_two_bit_code_freezes_the_weak_position():

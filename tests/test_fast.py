@@ -569,4 +569,6 @@ def test_smallest_codes_and_empty_batches_decode(mask, rng):
         assert (one.x_hat == res.x_hat[-1]).all()
         empty = decoders[i](np.zeros((0, N), dtype=np.int64))
         assert empty.u_hat.shape == empty.x_hat.shape == (0, N)
+    traced = hw_decode_frame(tree, code, np.zeros((0, N), dtype=np.int64), trace=True)
+    assert traced.u_hat.shape == (0, N) and traced.trace_rows == []
     assert fast_ssc_decode(code, np.zeros((0, N))).x_hat.shape == (0, N)

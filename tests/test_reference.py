@@ -17,6 +17,7 @@ from fastssc import (
     g_function,
     hard_decision,
     hw_decode_frame,
+    quantize_channel,
     sc_decode,
     sc_latency_cycles,
     two_bit_precomputed_cycles,
@@ -144,6 +145,10 @@ def test_sc_decode_rejects_bad_frame_length():
     code = construct_code(8, 4, 2.0)
     with pytest.raises(ValueError):
         sc_decode(code, np.zeros(7))
+    for decode in (sc_decode, fast_ssc_decode,
+                   lambda code, llr: hw_decode_frame(PuTree(8), code, llr)):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            decode(code, np.zeros((2, 1, 8)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -181,7 +186,8 @@ def test_decoders_reject_llrs_that_are_not_real_numbers(llr):
     for decode in (lambda x: sc_decode(code, x), lambda x: sc_decode(code, x, spec),
                    lambda x: fast_ssc_decode(code, x),
                    lambda x: fast_ssc_decode(code, x, spec),
-                   lambda x: hw_decode_frame(PuTree(16), code, x)):
+                   lambda x: hw_decode_frame(PuTree(16), code, x),
+                   lambda x: quantize_channel(x, spec)):
         with pytest.raises(ValueError, match="real numbers"):
             decode(llr)
 

@@ -189,6 +189,8 @@ def test_decoders_agree_on_error_counts():
     a = run_point(code, cfg, decoder="fast_ssc", quant=q, tie_mode="hardware", stop=stop)
     b = run_point(code, cfg, decoder="hw", quant=q, stop=stop)
     assert (a.bit_errors, a.frame_errors) == (b.bit_errors, b.frame_errors)
+    with pytest.raises(ValueError, match="unknown decoder"):
+        make_decoder(code, "fast-ssc", q, "exact")
 
 
 @settings(max_examples=60)
