@@ -47,7 +47,7 @@ def _resolve_code(args, frames=1):
     ``frames`` is how many of its frames one chunk holds at once.  The code
     constructors check N against ``core.MAX_N``.
     """
-    if args.frozen_file:
+    if args.frozen_file is not None:
         code = core.read_frozen_file(args.frozen_file)
         _check_chunk(code.N, frames)
         return code
@@ -89,7 +89,7 @@ def parse_ebn0(text):
 
 def cmd_construct(args):
     code = _resolve_code(args)
-    if args.out:
+    if args.out is not None:
         core.write_frozen_file(args.out, code)
         print(f"wrote {args.out}: N={code.N} K={code.K} "
               f"method={code.construction.method} design_snr_db={code.construction.design_snr_db}")
@@ -104,7 +104,7 @@ def cmd_schedule(args):
         # N = 1 has no decode tree, and its 2N - 2 baseline is 0 cycles
         raise ValueError(f"schedule needs N >= 2, got N={code.N}")
     report = fast.latency_model(fast.classified(code), precompute=not args.no_precompute)
-    if args.json:  # written first, so a bad path fails before anything is printed
+    if args.json is not None:  # written first, so a bad path fails before anything is printed
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
     for e in report.entries:
@@ -117,7 +117,7 @@ def cmd_schedule(args):
     print(f"reduction_vs_conventional_{conv}={1 - total / conv:.4f}")
     print(f"reduction_vs_precomputed_{pre}={1 - total / pre:.4f}")
     print(f"reduction_vs_two_bit_{base:g}={1 - total / base:.4f}")
-    if args.json:
+    if args.json is not None:
         print(f"wrote {args.json}")
     return 0
 
@@ -129,6 +129,8 @@ def _load_frames(path, N):
             line = line.strip()
             if not line:
                 continue
+            # the file's frames are one chunk, so they share its cap
+            _check_chunk(N, len(frames) + 1)
             fields = line.split(",")
             if not all(f.strip() for f in fields):
                 raise ValueError(f"empty field in frame line {line!r}")
@@ -146,11 +148,11 @@ def _bits_str(bits):
 
 
 def cmd_decode(args):
-    code = _resolve_code(args, 1 if args.frame_file else args.frames)
-    if args.trace and args.decoder != "hw":
+    code = _resolve_code(args, 1 if args.frame_file is not None else args.frames)
+    if args.trace is not None and args.decoder != "hw":
         raise ValueError("--trace is only available with --decoder hw")
-    quant = QuantSpec.from_string(args.quant) if args.quant else None
-    if args.frame_file:
+    quant = None if args.quant is None else QuantSpec.from_string(args.quant)
+    if args.frame_file is not None:
         llr = _load_frames(args.frame_file, code.N)
         tx_msgs = None
     else:
@@ -160,8 +162,8 @@ def cmd_decode(args):
         tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
         llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
     decode = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)
-    result = decode(llr, trace=True) if args.trace else decode(llr)
-    if args.trace:
+    result = decode(llr) if args.trace is None else decode(llr, trace=True)
+    if args.trace is not None:
         hw.write_trace_jsonl(args.trace, result)
     if args.decoder == "hw":
         print(f"cycles={result.cycle_trace.total_cycles}")
@@ -177,11 +179,11 @@ def cmd_decode(args):
 
 def cmd_ber(args):
     code = _resolve_code(args, args.batch)
-    quant = QuantSpec.from_string(args.quant) if args.quant else None
+    quant = None if args.quant is None else QuantSpec.from_string(args.quant)
     stop = sim.StopRule(args.min_frame_errors, args.max_frames)
     points = parse_ebn0(args.ebn0)
     # a bad --out path fails here, not after the sweep
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="") as fh:
         rows = sim.run_ber_sweep(
             code, points, decoder=args.decoder.replace("-", "_"),
             quant=quant, tie_mode=args.tie_mode, stop=stop, seed=args.seed,
@@ -190,7 +192,7 @@ def cmd_ber(args):
         for ebn0, st in rows:
             print(f"ebn0_db={ebn0} frames={st.frames} ber={st.ber:.3e} fer={st.fer:.3e}")
         fh.write(sim.stats_csv_text(rows))
-    if args.out:
+    if args.out is not None:
         print(f"wrote {args.out}")
     return 0
 

@@ -138,24 +138,6 @@ def _classify_mask(mask):
     return NodeKind.BRANCH
 
 
-def fold_argmin(mags):
-    """Per column of a (size, batch) block, size a power of two, the index
-    of the minimum as a strict-less comparator tree finds it.
-
-    Each round compares the low half of the surviving lanes against the high
-    half; the challenger wins only when strictly smaller.  With a unique
-    minimum this is the plain argmin.  On repeated minima the survivor
-    depends on fold order, matching the comparator tree in the datapath
-    model rather than a lowest-index scan: the first round splits lanes on
-    the highest index bit and the last on the lowest, each keeping the lane
-    with a 0 bit on a tie, so the survivor is the minimum with the smallest
-    bit-reversed index.  That is a first-occurrence argmin over the lanes in
-    bit-reversed order.
-    """
-    order = _bit_reversal(len(mags))
-    return order[np.argmin(mags[order], axis=0)]
-
-
 @functools.cache
 def _bit_reversal(size):
     """Indices 0..size-1 with their log2(size) bits reversed (an involution)."""
@@ -176,13 +158,21 @@ def _hard_masks(a, out):
 def _spc_into(a, out, scratch, tie_check=False):
     """Single-parity-check decode of a (size, batch) block into 0/-1 masks.
 
-    Thresholds, then the parity repair flips the minimum |LLR| that
-    :func:`fold_argmin` finds, which is a first-occurrence argmin over the
-    rows taken in bit-reversed order into ``scratch``.  With ``tie_check``,
-    returns the columns plain SC may decode differently, from the same
-    magnitudes, minimum and parity: those with a zero minimum, or with odd
-    hard-decision parity and a repeated minimum.  Every other column decodes
-    under plain SC exactly as here.
+    Thresholds, then the parity repair flips the minimum |LLR| that a
+    strict-less comparator tree finds.  Each round compares the low half of
+    the surviving lanes against the high half, and the challenger wins only
+    when strictly smaller.  With a unique minimum this is the plain argmin.
+    On repeated minima the survivor depends on fold order: the first round
+    splits lanes on the highest index bit and the last on the lowest, each
+    keeping the lane with a 0 bit on a tie, so the survivor is the minimum
+    with the smallest bit-reversed index.  That is a first-occurrence argmin
+    over the rows taken in bit-reversed order into ``scratch``.
+
+    Returns ``(rows, flags)``: the survivor row of each column, and with
+    ``tie_check`` the columns plain SC may decode differently (None
+    without), from the same magnitudes, minimum and parity: those with a
+    zero minimum, or with odd hard-decision parity and a repeated minimum.
+    Every other column decodes under plain SC exactly as here.
 
     Proof, by induction on the size.  Plain SC splits SPC(n) into SPC(n/2) on
     the f outputs and rate-1(n/2) on the g outputs; SPC(1) is a frozen bit,
@@ -209,11 +199,12 @@ def _spc_into(a, out, scratch, tie_check=False):
     mags = a.take(order, axis=0, out=scratch, mode="wrap")
     np.abs(mags, out=mags)
     lane = mags.argmin(axis=0)
-    cols = np.arange(a.shape[1])
-    out[order[lane], cols] ^= parity
-    if tie_check:
-        low = mags[lane, cols]
-        return (low == 0) | ((parity != 0) & (np.count_nonzero(mags == low, axis=0) > 1))
+    rows, cols = order[lane], np.arange(a.shape[1])
+    out[rows, cols] ^= parity
+    if not tie_check:
+        return rows, None
+    low = mags[lane, cols]
+    return rows, (low == 0) | ((parity != 0) & (np.count_nonzero(mags == low, axis=0) > 1))
 
 
 def _rep_into(a, out, scratch, spec=None):
@@ -364,7 +355,7 @@ def _run(ops, root, spec, exact, hook=None):
                 if exact and s:
                     risk = (a == 0).any(axis=0)
             elif op is NodeKind.SPC:
-                risk = _spc_into(a, beta, free[s], exact)
+                risk = _spc_into(a, beta, free[s], exact)[1]
             elif op is NodeKind.REP:
                 _rep_into(a, beta, free[s], spec)
             if risk is not None and risk.any():

@@ -29,15 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fast import ScheduleReport, _node_steps, _plan, _rep_into, _walk, fold_argmin
+from .fast import ScheduleReport, _node_steps, _plan, _rep_into, _spc_into, _walk
 from .quant import QuantSpec
 from .reference import DecodeResult, hard_decision
 
 
 class PuTree:
-    """Processing resource for one code length: layers of PUs plus a tracer.
-
-    ``spec`` is the datapath's fixed-point format, ``4,5,0`` when None.
+    """The PU tree's width ``N`` and its datapath's fixed-point format
+    ``spec``, ``4,5,0`` when None.
     """
 
     def __init__(self, N, spec=None):
@@ -84,9 +83,10 @@ def _step_values(op, layer, inp, out, spec):
     # After the comparator or adder round that leaves 2**layer lanes, lane 0
     # has combined every (2**layer)-th input, in the kernel's own order.
     lanes = inp[:: 1 << layer]
+    bufs = np.empty_like(lanes), np.empty_like(lanes)
     if op == "rep_accumulate":
-        return None, _rep_into(lanes, np.empty_like(lanes), np.empty_like(lanes), spec).item()
-    return None, lanes[fold_argmin(np.abs(lanes))[0], 0].item()
+        return None, _rep_into(lanes, *bufs, spec).item()
+    return None, lanes[_spc_into(lanes, *bufs)[0][0], 0].item()
 
 
 @dataclass

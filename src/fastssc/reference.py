@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import polar_transform
-from .quant import QuantSpec, _real_array, quantize_channel, sat_add, validate_quantized
+from .quant import _real_array, quantize_channel, sat_add, validate_quantized
 
 
 @dataclass

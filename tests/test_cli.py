@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastssc import construct_code, read_frozen_file
+from fastssc import cli, construct_code, read_frozen_file
 from fastssc.cli import MAX_CHUNK_VALUES, MAX_RANGE_POINTS, main, parse_ebn0
 from fastssc.core import MAX_N
 from conftest import DATA_DIR
@@ -187,6 +187,16 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     ("schedule", "--json", "/nonexistent/x.json"),
     ("decode", "--frames", str(MAX_CHUNK_VALUES // 16 + 1)),
     ("ber", "--ebn0", "2", "--batch", str(MAX_CHUNK_VALUES // 16 + 1)),
+    # an empty value is a bad value, not an absent option
+    ("decode", "--quant", ""),
+    ("ber", "--ebn0", "2", "--quant", ""),
+    ("decode", "--frozen-file", ""),
+    ("decode", "--frame-file", ""),
+    ("decode", "--decoder", "sc", "--trace", ""),
+    ("decode", "--decoder", "hw", "--trace", ""),
+    ("schedule", "--json", ""),
+    ("construct", "--out", ""),
+    ("ber", "--ebn0", "2", "--out", ""),
 ])
 def test_bad_input_exits_one_with_no_output(capsys, argv):
     # the default code goes first, so a case may override --n and --k
@@ -200,6 +210,17 @@ def test_parse_ebn0_range_point_cap():
     assert len(parse_ebn0(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
     with pytest.raises(ValueError, match="more than"):
         parse_ebn0(f"0:{MAX_RANGE_POINTS}:1")
+
+
+def test_decode_frame_file_counts_against_the_chunk_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "frames.txt"
+    path.write_text("1 2 3 4 -1 -2 -3 -4\n" * 3)
+    monkeypatch.setattr(cli, "MAX_CHUNK_VALUES", 2 * 8)
+    rc, out, err = run_cli(capsys, "decode", "--n", "8", "--k", "4", "--frame-file", str(path))
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a chunk of 3 frames of N=8")
 
 
 def test_decode_frame_file_rejects_nan(tmp_path, capsys):
@@ -276,6 +297,9 @@ def test_frozen_file_feeds_other_commands(tmp_path, capsys):
 # Each argument list breaks at most one rule, so most of them reach the decoders.
 FAULTS = ["size", "source", "file", "snr", "seed", "quant", "path", "frames", "ebn0", "stop",
           "batch", "workers"]
+# faults whose bad values are all invalid, so a run that applied one must fail
+# (decode --frame-file never reads --seed, and the other bad sets hold valid values)
+FATAL_FAULTS = {"size", "source", "quant", "path", "stop", "batch", "workers"}
 NUMBERS = ["0", "1", "2.5", "-3", "12", "1e6", "-1e6", "nan", "inf", "1e-300"]
 LLRS = ["0", "1.5", "-2", "7"]
 BAD_LLRS = ["1e308", "-1e308", "nan", "inf", "x"]
@@ -289,11 +313,16 @@ def _opt(flag, value):
 
 @st.composite
 def cli_argv(draw):
-    """An argument list argparse accepts, and the files it reads."""
+    """An argument list argparse accepts, the files it reads, and the fault
+    it applied (None when no option it drew took a bad value)."""
     fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
+    applied = []
 
     def pick(name, good, bad):
-        return draw(bad if fault == name else good)
+        if fault != name:
+            return draw(good)
+        applied.append(name)
+        return draw(bad)
 
     files = {}
     command = draw(st.sampled_from(["construct", "schedule", "decode", "ber"]))
@@ -323,7 +352,8 @@ def cli_argv(draw):
         argv.append(_opt("--method", draw(st.sampled_from(["ga", "bhattacharyya"]))))
 
     def path(name):
-        return pick("path", st.just(f"{{tmp}}/{name}"), st.just(f"{{tmp}}/missing/{name}"))
+        return pick("path", st.just(f"{{tmp}}/{name}"),
+                    st.sampled_from([f"{{tmp}}/missing/{name}", ""]))
 
     if command in ("decode", "ber"):
         argv += [_opt("--decoder", draw(st.sampled_from(["sc", "fast-ssc", "hw"]))),
@@ -377,13 +407,13 @@ def cli_argv(draw):
                                         st.sampled_from([-1, 0])))]
         if draw(st.booleans()):
             argv.append(_opt("--out", path("ber.csv")))
-    return argv, files
+    return argv, files, applied[0] if applied else None
 
 
 @settings(max_examples=400)
 @given(cli_argv())
 def test_cli_fuzz_exits_zero_or_one_error_line(case):
-    argv, files = case
+    argv, files, fault = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text)
@@ -392,6 +422,8 @@ def test_cli_fuzz_exits_zero_or_one_error_line(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
     err = err.getvalue()
+    if fault in FATAL_FAULTS:
+        assert rc == 1
     if rc == 0:
         assert err == ""
     else:

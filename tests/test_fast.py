@@ -24,7 +24,7 @@ from fastssc import (
     sc_decode,
 )
 from fastssc import fast
-from fastssc.fast import _plan, fold_argmin
+from fastssc.fast import _plan, _spc_into
 from fastssc.reference import prepare_llr
 from fastssc.sim import ChannelConfig, awgn_llr, draw_messages_and_noise
 from conftest import noisy_float_llr, noisy_int_llr, random_code
@@ -42,6 +42,12 @@ def decode_rep(alphas, spec=None):
     L = alphas.shape[1]
     mask = np.arange(L) < L - 1
     return fast_ssc_decode(PolarCode.from_frozen_mask(mask), alphas, spec, tie_mode="hardware").x_hat
+
+
+def spc_survivors(mags):
+    """The row the SPC kernel's comparator fold keeps in each column of a
+    (size, batch) block of magnitudes."""
+    return _spc_into(mags, np.empty_like(mags), np.empty_like(mags))[0]
 
 
 def kinds_by_preorder(code):
@@ -98,27 +104,27 @@ def test_node_ids_are_unique_preorder(rng):
     assert [n.node for n in nodes] == list(range(len(nodes)))
 
 
-def test_fold_argmin_matches_argmin_when_unique(rng):
+def test_spc_fold_matches_argmin_when_unique(rng):
     for _ in range(50):
         n = 2 ** int(rng.integers(1, 6))
         vals = rng.permutation(100)[:n].reshape(n, 1)
-        assert fold_argmin(vals)[0] == np.argmin(vals)
+        assert spc_survivors(vals)[0] == np.argmin(vals)
 
 
-def test_fold_argmin_tie_follows_comparator_order():
+def test_spc_fold_tie_follows_comparator_order():
     # |a| = [3,1,1,1]: lanes 1 and 3 tie first (keep 1), lanes 0 and 2 pick 2,
     # then 1-vs-2 ties and the fold keeps the lane holding index 2.
-    assert fold_argmin(np.array([[3, 1, 1, 1]]).T).tolist() == [2]
-    assert fold_argmin(np.array([[0, 5, 0, 5]]).T).tolist() == [0]
+    assert spc_survivors(np.array([[3, 1, 1, 1]]).T).tolist() == [2]
+    assert spc_survivors(np.array([[0, 5, 0, 5]]).T).tolist() == [0]
 
 
-def test_fold_argmin_matches_comparator_tree(rng):
+def test_spc_fold_matches_comparator_tree(rng):
     # every row over {0,1,2} up to 8 lanes, where ties are dense, then
     # random rows up to 1024 lanes
     blocks = [np.array(list(itertools.product(range(3), repeat=n))) for n in (1, 2, 4, 8)]
     blocks += [rng.integers(0, 4, size=(200, n)) for n in (16, 64, 256, 1024)]
     for mags in blocks:
-        assert fold_argmin(mags.T).tolist() == [comparator_fold_argmin(row) for row in mags]
+        assert spc_survivors(mags.T).tolist() == [comparator_fold_argmin(row) for row in mags]
 
 
 def test_decode_spc_parity_and_flip():
