@@ -123,24 +123,41 @@ def cmd_schedule(args):
 
 
 def _load_frames(path, N):
-    frames = []
+    """The file's frames as one (frames, N) float64 block.
+
+    The file is read twice: to count its frames, so the chunk cap fires
+    before a frame past it is parsed, and to fill the block line by line.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            # the file's frames are one chunk, so they share its cap
-            _check_chunk(N, len(frames) + 1)
+        count = 0
+        for _ in filter(str.strip, fh):
+            count += 1
+            _check_chunk(N, count)
+        if not count:
+            raise ValueError(f"no frames in {path}")
+        frames = np.empty((count, N))
+        fh.seek(0)
+        filled = 0
+        for line in filter(None, map(str.strip, fh)):
+            if filled == count:
+                raise ValueError(f"{path} changed while it was read")
             fields = line.split(",")
             if not all(f.strip() for f in fields):
                 raise ValueError(f"empty field in frame line {line!r}")
-            vals = [float(t) for f in fields for t in f.split()]
+            vals = [t for f in fields for t in f.split()]
             if len(vals) != N:
                 raise ValueError(f"frame length {len(vals)} does not match N={N}")
-            frames.append(vals)
-    if not frames:
-        raise ValueError(f"no frames in {path}")
-    return np.array(frames)
+            frames[filled] = [float(t) for t in vals]
+            filled += 1
+    if filled != count:
+        raise ValueError(f"{path} changed while it was read")
+    return frames
+
+
+def _decoder_settings(args):
+    """``make_decoder``'s settings from --decoder, --quant and --tie-mode."""
+    quant = None if args.quant is None else QuantSpec.from_string(args.quant)
+    return {"decoder": args.decoder.replace("-", "_"), "quant": quant, "tie_mode": args.tie_mode}
 
 
 def _bits_str(bits):
@@ -151,7 +168,7 @@ def cmd_decode(args):
     code = _resolve_code(args, 1 if args.frame_file is not None else args.frames)
     if args.trace is not None and args.decoder != "hw":
         raise ValueError("--trace is only available with --decoder hw")
-    quant = None if args.quant is None else QuantSpec.from_string(args.quant)
+    settings = _decoder_settings(args)
     if args.frame_file is not None:
         llr = _load_frames(args.frame_file, code.N)
         tx_msgs = None
@@ -159,9 +176,8 @@ def cmd_decode(args):
         if args.frames < 1:
             raise ValueError(f"--frames must be >= 1, got {args.frames}")
         cfg = sim.ChannelConfig(args.ebn0, code.rate, args.seed)
-        tx_msgs, noise = sim.draw_messages_and_noise(cfg, code.K, code.N, 0, args.frames)
-        llr = sim.awgn_llr(core.encode(code, tx_msgs), cfg, noise=noise)
-    decode = sim.make_decoder(code, args.decoder.replace("-", "_"), quant, args.tie_mode)
+        tx_msgs, _, llr = sim.channel_frames(code, cfg, 0, args.frames)
+    decode = sim.make_decoder(code, **settings)
     result = decode(llr) if args.trace is None else decode(llr, trace=True)
     if args.trace is not None:
         hw.write_trace_jsonl(args.trace, result)
@@ -179,16 +195,13 @@ def cmd_decode(args):
 
 def cmd_ber(args):
     code = _resolve_code(args, args.batch)
-    quant = None if args.quant is None else QuantSpec.from_string(args.quant)
+    settings = _decoder_settings(args)
     stop = sim.StopRule(args.min_frame_errors, args.max_frames)
     points = parse_ebn0(args.ebn0)
     # a bad --out path fails here, not after the sweep
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="") as fh:
-        rows = sim.run_ber_sweep(
-            code, points, decoder=args.decoder.replace("-", "_"),
-            quant=quant, tie_mode=args.tie_mode, stop=stop, seed=args.seed,
-            batch=args.batch, workers=args.workers,
-        )
+        rows = sim.run_ber_sweep(code, points, seed=args.seed, stop=stop, batch=args.batch,
+                                 workers=args.workers, **settings)
         for ebn0, st in rows:
             print(f"ebn0_db={ebn0} frames={st.frames} ber={st.ber:.3e} fer={st.fer:.3e}")
         fh.write(sim.stats_csv_text(rows))
@@ -220,7 +233,8 @@ def build_parser():
     _add_code_args(p)
     _add_decoder_args(p)
     p.add_argument("--frame-file",
-                   help="text file, one LLR frame per line, values split by whitespace or commas")
+                   help="seekable text file (read twice: counted, then parsed), one LLR frame "
+                        "per line, values split by whitespace or commas")
     p.add_argument("--ebn0", type=float, default=2.0, help="channel Eb/N0 for random frames")
     p.add_argument("--frames", type=int, default=1, help="number of random frames")
     p.add_argument("--trace", help="write per-cycle JSON lines (hw decoder only)")

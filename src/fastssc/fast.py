@@ -266,9 +266,13 @@ def fast_ssc_decode(code, llr, spec=None, tie_mode="exact"):
     -------
     DecodeResult
     """
+    _check_tie_mode(tie_mode)
+    return _walk(code, llr, spec, tie_mode)
+
+
+def _check_tie_mode(tie_mode):
     if tie_mode not in ("exact", "hardware"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    return _walk(code, llr, spec, tie_mode)
 
 
 def _walk(code, llr, spec, tie_mode, hook=None):

@@ -12,19 +12,18 @@ defaults to 1 and never exceeds the number of CPUs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .core import db_to_linear, encode
-from .fast import fast_ssc_decode
+from .fast import _check_tie_mode, fast_ssc_decode
 from .hw import PuTree, hw_decode_frame
 from .quant import QuantSpec
 from .reference import sc_decode
@@ -154,10 +153,19 @@ def awgn_llr(codeword, cfg, noise):
     return noise
 
 
+def channel_frames(code, cfg, first_frame, count):
+    """Messages, codewords and BPSK/AWGN channel LLRs of frames [first_frame,
+    first_frame + count); the LLRs are written over the draw's noise."""
+    msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
+    codewords = encode(code, msgs)
+    return msgs, codewords, awgn_llr(codewords, cfg, noise)
+
+
 def make_decoder(code, decoder, quant, tie_mode):
     """Bind :func:`run_point`'s decoder settings to a callable ``llr ->
     DecodeResult``; the ``"hw"`` one also takes ``hw_decode_frame``'s ``trace``.
     """
+    _check_tie_mode(tie_mode)
     if decoder == "sc":
         return lambda llr: sc_decode(code, llr, quant)
     if decoder == "fast_ssc":
@@ -175,6 +183,17 @@ def resolve_workers(workers):
     return min(workers, os.cpu_count() or 1)
 
 
+@cache
+def _pool(n_workers, pid):
+    """The process's pool of ``n_workers`` threads, reused by every later call.
+
+    A thread per call can open a new malloc arena while the last one exits:
+    repeated 4096-frame (1024,870) calls peaked at 98 MB of RSS, against 68 MB
+    on one reused thread.  A forked child (another ``pid``) gets its own pool.
+    """
+    return ThreadPoolExecutor(n_workers)
+
+
 def _run_chunk(code, decode, cfg, first_frame, count):
     """Error counts of frames [first_frame, first_frame + count).
 
@@ -183,9 +202,7 @@ def _run_chunk(code, decode, cfg, first_frame, count):
     zero on the frozen positions, and the transform is a bijection.  Only
     those frames' message bits are compared.
     """
-    msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
-    tx = encode(code, msgs)
-    llr = awgn_llr(tx, cfg, noise=noise)
+    msgs, tx, llr = channel_frames(code, cfg, first_frame, count)
     res = decode(llr)
     bad = (res.x_hat != tx).any(axis=1)
     bit_errors = int((res.u_hat[bad][:, code.info_indices] != msgs[bad]).sum())
@@ -203,23 +220,22 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
 
     ``decoder`` is ``"sc"``, ``"fast_ssc"`` or ``"hw"``.  A ``quant`` spec
     runs it in fixed point; ``"hw"`` defaults to :class:`~fastssc.hw.PuTree`'s.
-    ``tie_mode`` resolves ties in ``"fast_ssc"`` (see :mod:`fastssc.fast`).
-    Each round decodes up to ``batch * workers`` frames in chunks of
-    ``batch``: inline at one worker, on a thread pool above one.
+    ``tie_mode`` resolves ties in ``"fast_ssc"`` (see :mod:`fastssc.fast`)
+    and is checked for every decoder.  Each round decodes up to ``batch *
+    workers`` frames in chunks of ``batch`` on a pool of ``workers`` threads.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     decode = make_decoder(code, decoder, quant, tie_mode)
     n_workers = resolve_workers(workers)
     stats = TrialStats(info_bits_per_frame=code.K)
-    with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
-        run = map if pool is None else pool.map
-        while stats.frame_errors < stop.min_frame_errors and stats.frames < stop.max_frames:
-            end = min(stats.frames + batch * n_workers, stop.max_frames)
-            starts = range(stats.frames, end, batch)
-            counts = [min(batch, end - lo) for lo in starts]
-            for r in run(partial(_run_chunk, code, decode, cfg), starts, counts):
-                stats = stats.merge(r)
+    pool = _pool(n_workers, os.getpid())
+    while stats.frame_errors < stop.min_frame_errors and stats.frames < stop.max_frames:
+        end = min(stats.frames + batch * n_workers, stop.max_frames)
+        starts = range(stats.frames, end, batch)
+        counts = [min(batch, end - lo) for lo in starts]
+        for r in pool.map(partial(_run_chunk, code, decode, cfg), starts, counts):
+            stats = stats.merge(r)
     return stats
 
 

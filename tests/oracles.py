@@ -1,11 +1,14 @@
 """Independent reference implementations used only by tests.
 
 Everything here is written against the definitions, not against the library:
-dense generator-matrix encoding, a scalar list-based SC decoder, a scalar
-model of the pruned datapath with its cycle count, the shortcut tie-risk
-rule, and brute-force maximum-likelihood decisions for the short constituent
-codes.  Slow on purpose; clarity over speed.
+dense generator-matrix encoding, the Bhattacharyya construction one position
+at a time, a scalar list-based SC decoder, a scalar model of the pruned
+datapath with its cycle count, the shortcut tie-risk rule, and brute-force
+maximum-likelihood decisions for the short constituent codes.  Slow on
+purpose; clarity over speed.
 """
+
+import math
 
 import numpy as np
 
@@ -24,6 +27,27 @@ def dense_transform(bits):
     bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
     G = generator_matrix(bits.shape[1])
     return (bits.astype(np.int64) @ G.astype(np.int64)) % 2
+
+
+def bhattacharyya_frozen(N, K, design_snr_db):
+    """Frozen mask of the Bhattacharyya construction of an (N, K) code.
+
+    Position i starts from z = exp(-(K / N) Eb/N0) and takes one step per bit
+    of i, most significant first: a 0 bit gives the worse channel 2z - z^2,
+    a 1 bit the better one z^2.  The N - K largest z are frozen, ties going
+    to the lower index.
+    """
+    z0 = math.exp(-(K / N) * 10.0 ** (design_snr_db / 10.0))
+    n = N.bit_length() - 1
+    zs = []
+    for i in range(N):
+        z = z0
+        for shift in range(n - 1, -1, -1):
+            z = z * z if (i >> shift) & 1 else 2.0 * z - z * z
+        zs.append(z)
+    frozen = np.zeros(N, dtype=bool)
+    frozen[sorted(range(N), key=lambda i: (-zs[i], i))[: N - K]] = True
+    return frozen
 
 
 def _f_scalar(a, b):

@@ -6,10 +6,10 @@ suites cover the same ground at commit speed.
 """
 
 import numpy as np
-import pytest
 
 import fastssc as fs
-from fastssc.sim import ChannelConfig, StopRule, draw_messages_and_noise, run_point
+from fastssc.sim import ChannelConfig, StopRule, draw_messages_and_noise, run_ber_sweep
+from conftest import noisy_float_llr, random_code
 
 QUANT = fs.QuantSpec(4, 5, 0)
 
@@ -19,21 +19,6 @@ def _report(capsys, line):
         print(line, flush=True)
 
 
-def _random_code(N, rng):
-    K = int(rng.integers(1, N + 1))
-    mask = np.ones(N, dtype=bool)
-    mask[rng.choice(N, size=K, replace=False)] = False
-    return fs.PolarCode.from_frozen_mask(mask)
-
-
-def _noisy_frames(code, rng, frames, ebn0_db=1.0):
-    msgs = rng.integers(0, 2, size=(frames, code.K)).astype(np.uint8)
-    x = fs.encode(code, msgs)
-    var = 1.0 / (2.0 * max(code.rate, 1e-9) * 10.0 ** (ebn0_db / 10.0))
-    y = (1.0 - 2.0 * x) + rng.normal(0.0, np.sqrt(var), size=x.shape)
-    return 2.0 * y / var
-
-
 def test_01_pruned_decoder_equals_plain_sc(capsys):
     rng = np.random.default_rng(101)
     frames = 10_000
@@ -41,8 +26,8 @@ def test_01_pruned_decoder_equals_plain_sc(capsys):
     checked = 0
     for N in (4, 8, 16, 32, 64, 128, 256):
         for _ in range(sets_per_n):
-            code = _random_code(N, rng)
-            llr = _noisy_frames(code, rng, frames)
+            code = random_code(N, rng)
+            _, llr = noisy_float_llr(code, rng, frames)
             ref = fs.sc_decode(code, llr)
             fast = fs.fast_ssc_decode(code, llr)
             assert (ref.u_hat == fast.u_hat).all(), f"float mismatch N={N} K={code.K}"
@@ -63,8 +48,8 @@ def test_02_datapath_model_equals_pruned_decoder(capsys):
     for N in (4, 8, 16, 32, 64):
         tree = fs.PuTree(N, QUANT)
         for _ in range(50):
-            code = _random_code(N, rng)
-            qllr = fs.quantize_channel(_noisy_frames(code, rng, frames), QUANT)
+            code = random_code(N, rng)
+            qllr = fs.quantize_channel(noisy_float_llr(code, rng, frames)[1], QUANT)
             hw = fs.hw_decode_frame(tree, code, qllr)
             sw = fs.fast_ssc_decode(code, qllr, QUANT, tie_mode="hardware")
             assert (hw.u_hat == sw.u_hat).all(), f"datapath mismatch N={N} K={code.K}"
@@ -76,21 +61,13 @@ def test_02_datapath_model_equals_pruned_decoder(capsys):
                     f"({checked:,} frames, cycle totals match the closed-form model)")
 
 
-def _int_grid(length, lo=-3, hi=3):
-    base = hi - lo + 1
-    idx = np.arange(base ** length)
-    cols = []
-    for p in range(length):
-        cols.append(lo + (idx // base ** (length - 1 - p)) % base)
-    return np.stack(cols, axis=1).astype(np.int64)
-
-
 def test_03_short_node_decoders_are_ml(capsys):
     # Each node type is the whole of a one-node code, decoded by the pruned
     # decoder's shortcut in hardware tie mode.
     rows = 0
     for length in (4, 8):
-        grid = _int_grid(length)
+        # every vector of `length` integers in -3..3, in lexicographic order
+        grid = np.indices((7,) * length, dtype=np.int8).reshape(length, -1).T - 3
         spc_code = fs.PolarCode.from_frozen_mask(np.arange(length) < 1)
         rep_code = fs.PolarCode.from_frozen_mask(np.arange(length) < length - 1)
         for start in range(0, grid.shape[0], 500_000):
@@ -152,7 +129,7 @@ def test_07_baseline_latencies(capsys):
     rng = np.random.default_rng(707)
     for n in range(1, 11):
         N = 1 << n
-        code = _random_code(N, rng)
+        code = random_code(N, rng)
         assert fs.sc_latency_cycles(code, "conventional") == 2 * N - 2
         assert fs.sc_latency_cycles(code, "precomputed") == N - 1
         assert fs.two_bit_precomputed_cycles(N) == 0.75 * N - 1
@@ -160,18 +137,6 @@ def test_07_baseline_latencies(capsys):
     assert rows[0]["reduction"] == 1 - rows[0]["cycles"] / fs.two_bit_precomputed_cycles(1024)
     _report(capsys, "[7/9] baseline cycle counts 2N-2, N-1, 0.75N-1: PASS "
                     "(exact for N = 2..1024; reduction reports use the 0.75N-1 floor)")
-
-
-def _fer_curve(code, ebn0_points, quant, tie_mode, seed):
-    rows = []
-    for ebn0 in ebn0_points:
-        stats = run_point(
-            code, ChannelConfig(ebn0, code.rate, seed=seed),
-            decoder="fast_ssc", quant=quant, tie_mode=tie_mode,
-            stop=StopRule(min_frame_errors=200, max_frames=400_000), batch=8192,
-        )
-        rows.append((ebn0, stats))
-    return rows
 
 
 def _ebn0_at_fer(rows, target):
@@ -187,8 +152,10 @@ def _ebn0_at_fer(rows, target):
 def test_08_quantization_penalty_within_quarter_db(capsys):
     code = fs.construct_code(1024, 512, 2.0)
     ladder = (2.25, 2.5, 2.75, 3.0)
-    ref = _fer_curve(code, ladder, quant=None, tie_mode="exact", seed=88)
-    qnt = _fer_curve(code, ladder, quant=QUANT, tie_mode="hardware", seed=88)
+    stop = StopRule(min_frame_errors=200, max_frames=400_000)
+    ref = run_ber_sweep(code, ladder, seed=88, quant=None, tie_mode="exact", stop=stop, batch=8192)
+    qnt = run_ber_sweep(code, ladder, seed=88, quant=QUANT, tie_mode="hardware", stop=stop,
+                        batch=8192)
     for _, stats in ref + qnt:
         assert stats.frame_errors >= 200, "not enough frame errors for a stable point"
     e_ref = _ebn0_at_fer(ref, 1e-2)

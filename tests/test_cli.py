@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,37 @@ def test_decode_frame_file_counts_against_the_chunk_cap(tmp_path, capsys, monkey
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a chunk of 3 frames of N=8")
+
+
+def test_frame_file_loads_within_twice_its_block(tmp_path):
+    # the frames fill one float64 block line by line; lists of Python floats
+    # copied into an array once peaked near five times the block
+    path = tmp_path / "frames.txt"
+    want = np.random.default_rng(5).integers(-64, 64, size=(256, 1024)) / 8
+    np.savetxt(path, want, fmt="%g")
+    tracemalloc.start()
+    try:
+        got = cli._load_frames(path, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float64 and (got == want).all()
+    assert peak < 2 * got.nbytes
+
+
+@pytest.mark.parametrize("second_pass", ["1 2\n", "1 2\n3 4\n5 6\n"])
+def test_frame_file_that_changes_between_passes_is_an_error(monkeypatch, capsys, second_pass):
+    # the loader counts the frames, then reads them; a file that shrank would
+    # leave rows of the block unwritten
+    class Changing(io.StringIO):
+        def seek(self, *args):
+            self.__init__(second_pass)
+            return 0
+
+    monkeypatch.setattr(cli, "open", lambda path: Changing("1 2\n3 4\n"), raising=False)
+    rc, out, err = run_cli(capsys, "decode", "--n", "2", "--k", "1", "--frame-file", "frames.txt")
+    assert (rc, out) == (1, "")
+    assert err == "error: frames.txt changed while it was read\n"
 
 
 def test_decode_frame_file_rejects_nan(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fastssc import (
 )
 from fastssc import core
 from conftest import DATA_DIR, random_code
-from oracles import dense_transform, generator_matrix
+from oracles import bhattacharyya_frozen, dense_transform, generator_matrix
 
 
 def test_transform_matches_dense_generator(rng):
@@ -141,6 +142,12 @@ def test_bhattacharyya_hand_worked_n4():
     assert code.frozen.tolist() == [True, True, False, False]
 
 
+@pytest.mark.parametrize("N, K, snr", [(1024, 512, 2.0), (1024, 870, 2.0), (256, 100, 0.5)])
+def test_bhattacharyya_matches_the_recursion(N, K, snr):
+    code = construct_code(N, K, snr, method="bhattacharyya")
+    assert (code.frozen == bhattacharyya_frozen(N, K, snr)).all()
+
+
 def test_construction_is_deterministic():
     a = construct_code(256, 128, 1.5)
     b = construct_code(256, 128, 1.5)
@@ -194,6 +201,14 @@ def test_frozen_file_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         read_frozen_file(path)
+
+
+def test_frozen_file_header_error_quotes_line_one(tmp_path):
+    path = tmp_path / "bad.txt"
+    for head in ("8", "8 4 1"):
+        path.write_text(f"{head}\n0 1 2 3\n")
+        with pytest.raises(ValueError, match=re.escape(f"first line must be 'N K', got {head!r}")):
+            read_frozen_file(path)
 
 
 def test_frozen_file_caps_n_before_allocating(tmp_path):

@@ -31,3 +31,20 @@ def test_quant_study_smoke(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert [(r["scheme"], r["ebn0_db"]) for r in rows] == [
         ("float", "2.0"), ("float", "3.0"), ("4,5,0", "2.0"), ("4,5,0", "3.0")]
+
+
+def test_cli_outputs_smoke(tmp_path, capsys):
+    module = load_script("cli_outputs")
+    assert module.main([str(tmp_path)]) == 0
+    names = [name for name, _ in module.calls()]
+    assert len(set(names)) == len(names)
+    assert {f"{name}.txt" for name in names} <= {p.name for p in tmp_path.iterdir()}
+    # the (64,32) decodes are the CLI goldens
+    data = Path(__file__).parent / "data"
+    goldens = sorted(data.glob("decode_ga64_32_*"))
+    assert len(goldens) == 4
+    for golden in goldens:
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes()
+    rows = list(csv.DictReader((tmp_path / "ber_ga1024_512_hw_w2.csv").open()))
+    assert [(r["ebn0_db"], r["frames"]) for r in rows] == [("2.0", "600"), ("2.5", "600")]
+    assert f"ran {len(names)} calls" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -165,6 +167,24 @@ def test_run_point_deterministic_across_workers():
     assert (a.frames, a.bit_errors, a.frame_errors) == (b.frames, b.bit_errors, b.frame_errors)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_run_point_runs_in_a_forked_child():
+    # the parent's pool is reused by later calls; a child holds a copy of it
+    # with no threads, so it must get one of its own, not wait on that copy
+    code = construct_code(32, 16, 2.0)
+    point = dict(stop=StopRule(10**9, 256), batch=64)
+    want = run_point(code, ChannelConfig(1.0, code.rate, seed=3), **point)
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit, whatever happens
+        status = 1
+        try:
+            signal.alarm(60)
+            status = int(run_point(code, ChannelConfig(1.0, code.rate, seed=3), **point) != want)
+        finally:
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_run_point_rejects_empty_batch(batch):
     code = construct_code(16, 8, 2.0)
@@ -249,6 +269,15 @@ def test_stop_rule_halts_on_frame_errors():
     assert stats.frames < 10**6
 
 
+def test_sweep_default_seed_is_zero():
+    code = construct_code(64, 32, 2.0)
+    point = dict(stop=StopRule(10**9, 300), batch=300)
+
+    [(_, swept)] = run_ber_sweep(code, [1.0], **point)
+    seeded = [run_point(code, ChannelConfig(1.0, code.rate, seed), **point) for seed in (0, 1)]
+    assert swept == seeded[0] != seeded[1]
+
+
 def test_sweep_shapes_and_monotone_trend():
     code = construct_code(64, 32, 2.0)
     rows = run_ber_sweep(code, [0.0, 6.0], stop=StopRule(20, 3000), seed=11, batch=500)
@@ -283,6 +312,17 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(10**6) == 8
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert resolve_workers(4) == 1
+
+
+@pytest.mark.parametrize("decoder", ["sc", "fast_ssc", "hw"])
+def test_every_decoder_rejects_unknown_tie_mode(decoder):
+    # the binding checks the mode with fast_ssc_decode's set and message
+    code = construct_code(16, 8, 2.0)
+    with pytest.raises(ValueError, match="unknown tie_mode 'bogus'"):
+        make_decoder(code, decoder, None, "bogus")
+    with pytest.raises(ValueError, match="unknown tie_mode 'bogus'"):
+        run_point(code, ChannelConfig(2.0, code.rate), decoder=decoder, tie_mode="bogus",
+                  stop=StopRule(1, 64))
 
 
 @pytest.mark.parametrize("workers", [0, -3])
