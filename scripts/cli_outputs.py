@@ -9,9 +9,10 @@ library compare with one ``diff -r``:
     PYTHONPATH=src python3 scripts/cli_outputs.py OUTDIR
 
 The list covers ``construct``, ``schedule`` with and without precompute,
-``decode`` with each decoder (the datapath model with its cycle trace), and
-``ber`` CSVs and stdout with each decoder setting at one and two workers,
-with a partial last chunk.  The (64,32) ``decode`` outputs are the goldens
+``decode`` with each decoder (the datapath model with its cycle trace) on
+random frames and on ``FRAMES_FILE``, and ``ber`` CSVs and stdout with each
+decoder setting at one and two workers, with a partial last chunk.  The
+(64,32) random-frame ``decode`` outputs are the goldens
 ``tests/data/decode_ga64_32_*``.
 """
 
@@ -34,6 +35,13 @@ DECODE = {
                                "--tie-mode", "hardware"),
     "hw_trace": ("--decoder", "hw", "--trace", "{name}.jsonl"),
 }
+# (64,32) LLR frames for --frame-file: whitespace-separated, blank, comma-separated
+FRAMES_FILE = "frames_ga64_32.txt"
+FRAMES_TEXT = "".join((
+    " ".join(f"{(7 * i) % 17 - 8:g}" for i in range(64)) + "\n",
+    "\n",
+    ",".join(f"{((5 * i + 3) % 13 - 6) / 2:g}" for i in range(64)) + "\n",
+))
 BER = {
     "sc": ("--decoder", "sc"),
     "fast_ssc_float": ("--decoder", "fast-ssc"),
@@ -59,6 +67,10 @@ def calls():
             name = f"decode_{tag}_{label}"
             yield name, ("decode", *code, "--ebn0", "2", "--frames", "3",
                          *(f.format(name=name) for f in flags))
+    for label, flags in DECODE.items():
+        name = f"decode_ga64_32_frame_file_{label}"
+        yield name, ("decode", *CODES["ga64_32"], "--frame-file", FRAMES_FILE,
+                     *(f.format(name=name) for f in flags))
     for label, flags in BER.items():
         for workers in ("1", "2"):
             name = f"ber_ga1024_512_{label}_w{workers}"
@@ -72,6 +84,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     with contextlib.chdir(args.outdir):
+        Path(FRAMES_FILE).write_text(FRAMES_TEXT)
         for n, (name, call) in enumerate(calls(), 1):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

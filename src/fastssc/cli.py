@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import math
 import sys
@@ -123,35 +124,25 @@ def cmd_schedule(args):
 
 
 def _load_frames(path, N):
-    """The file's frames as one (frames, N) float64 block.
+    """The file's frames as one (frames, N) float64 block, read in one pass.
 
-    The file is read twice: to count its frames, so the chunk cap fires
-    before a frame past it is parsed, and to fill the block line by line.
+    Each line's values are appended to one growing float64 array, and the
+    chunk cap is checked before a line is parsed.
     """
+    values = array.array("d")
     with open(path) as fh:
-        count = 0
-        for _ in filter(str.strip, fh):
-            count += 1
-            _check_chunk(N, count)
-        if not count:
-            raise ValueError(f"no frames in {path}")
-        frames = np.empty((count, N))
-        fh.seek(0)
-        filled = 0
         for line in filter(None, map(str.strip, fh)):
-            if filled == count:
-                raise ValueError(f"{path} changed while it was read")
+            _check_chunk(N, len(values) // N + 1)
             fields = line.split(",")
             if not all(f.strip() for f in fields):
                 raise ValueError(f"empty field in frame line {line!r}")
             vals = [t for f in fields for t in f.split()]
             if len(vals) != N:
                 raise ValueError(f"frame length {len(vals)} does not match N={N}")
-            frames[filled] = [float(t) for t in vals]
-            filled += 1
-    if filled != count:
-        raise ValueError(f"{path} changed while it was read")
-    return frames
+            values.extend(map(float, vals))
+    if not values:
+        raise ValueError(f"no frames in {path}")
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, N)
 
 
 def _decoder_settings(args):
@@ -233,8 +224,8 @@ def build_parser():
     _add_code_args(p)
     _add_decoder_args(p)
     p.add_argument("--frame-file",
-                   help="seekable text file (read twice: counted, then parsed), one LLR frame "
-                        "per line, values split by whitespace or commas")
+                   help="text file or pipe, read once, with one LLR frame per line, "
+                        "values split by whitespace or commas")
     p.add_argument("--ebn0", type=float, default=2.0, help="channel Eb/N0 for random frames")
     p.add_argument("--frames", type=int, default=1, help="number of random frames")
     p.add_argument("--trace", help="write per-cycle JSON lines (hw decoder only)")

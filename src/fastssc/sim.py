@@ -41,6 +41,8 @@ class ChannelConfig:
 
     def __post_init__(self):
         db_to_linear(self.ebn0_db)
+        if not 0 < self.rate <= 1:  # NaN fails too
+            raise ValueError(f"rate must be in (0, 1], got {self.rate}")
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
 
@@ -57,7 +59,7 @@ class StopRule:
     max_frames: int = 10_000_000
 
     def __post_init__(self):
-        if self.min_frame_errors < 1 or self.max_frames < 1:
+        if min(operator.index(self.min_frame_errors), operator.index(self.max_frames)) < 1:
             raise ValueError("min_frame_errors and max_frames must be >= 1, got "
                              f"{self.min_frame_errors} and {self.max_frames}")
 

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -240,19 +242,20 @@ def test_frame_file_loads_within_twice_its_block(tmp_path):
     assert peak < 2 * got.nbytes
 
 
-@pytest.mark.parametrize("second_pass", ["1 2\n", "1 2\n3 4\n5 6\n"])
-def test_frame_file_that_changes_between_passes_is_an_error(monkeypatch, capsys, second_pass):
-    # the loader counts the frames, then reads them; a file that shrank would
-    # leave rows of the block unwritten
-    class Changing(io.StringIO):
-        def seek(self, *args):
-            self.__init__(second_pass)
-            return 0
-
-    monkeypatch.setattr(cli, "open", lambda path: Changing("1 2\n3 4\n"), raising=False)
-    rc, out, err = run_cli(capsys, "decode", "--n", "2", "--k", "1", "--frame-file", "frames.txt")
-    assert (rc, out) == (1, "")
-    assert err == "error: frames.txt changed while it was read\n"
+def test_frame_file_reads_from_a_pipe(tmp_path, capsys):
+    # the file is read once, so a pipe decodes as the same lines in a file do
+    text = "1.5 -2 0.5 3 -1 2 -0.5 1\n\n-1,2,-3,0.25,1,-2,3,-0.75\n4 -4 4 -4 1 -1 0 2\n"
+    path = tmp_path / "frames.txt"
+    path.write_text(text)
+    argv = ["decode", "--n", "8", "--k", "4", "--decoder", "sc", "--frame-file"]
+    rc, want, err = run_cli(capsys, *argv, str(path))
+    assert (rc, err, want.count("u_hat=")) == (0, "", 3)
+    fifo = tmp_path / "frames.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert run_cli(capsys, *argv, str(fifo)) == (0, want, "")
+    writer.join(timeout=10)
 
 
 def test_decode_frame_file_rejects_nan(tmp_path, capsys):

@@ -45,6 +45,10 @@ def test_cli_outputs_smoke(tmp_path, capsys):
     assert len(goldens) == 4
     for golden in goldens:
         assert (tmp_path / golden.name).read_bytes() == golden.read_bytes()
+    # the fixed frames file holds two frames around a blank line
+    for label in ("sc", "fast_ssc_q450_hardware", "hw_trace"):
+        out = (tmp_path / f"decode_ga64_32_frame_file_{label}.txt").read_text()
+        assert out.count("u_hat=") == 2
     rows = list(csv.DictReader((tmp_path / "ber_ga1024_512_hw_w2.csv").open()))
     assert [(r["ebn0_db"], r["frames"]) for r in rows] == [("2.0", "600"), ("2.5", "600")]
     assert f"ran {len(names)} calls" in capsys.readouterr().out

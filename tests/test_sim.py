@@ -32,6 +32,10 @@ def test_noise_variance_formula():
     for ebn0 in (float("nan"), float("inf"), float("-inf"), 1e6, -1e6):
         with pytest.raises(ValueError, match="SNR"):
             ChannelConfig(ebn0, 0.5)
+    assert ChannelConfig(0.0, 1.0).noise_var == pytest.approx(0.5)
+    for rate in (2.0, 1.0 + 1e-12, 0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate"):
+            ChannelConfig(0.0, rate)
 
 
 def test_llr_scaling_statistics():
@@ -130,6 +134,13 @@ def test_seed_range_is_checked():
             ChannelConfig(2.0, 0.5, seed=seed)
     with pytest.raises(TypeError):
         ChannelConfig(2.0, 0.5, seed=1.5)
+
+
+def test_stop_rule_counts_are_integers():
+    assert StopRule(np.int64(5), 10) == StopRule(5, 10)
+    for counts in ((5, 10.5), (1.5, 40), (5, 10.0)):
+        with pytest.raises(TypeError):
+            StopRule(*counts)
 
 
 def test_large_seeds_draw_distinct_frames():
