@@ -11,14 +11,16 @@ library compare with one ``diff -r``:
 The list covers ``construct``, ``schedule`` with and without precompute,
 ``decode`` with each decoder (the datapath model with its cycle trace) on
 random frames and on ``FRAMES_FILE``, and ``ber`` CSVs and stdout with each
-decoder setting at one and two workers, with a partial last chunk.  The
-(64,32) random-frame ``decode`` outputs are the goldens
+decoder setting at one and two workers, with a partial last chunk, and with
+float ``fast-ssc`` at one and two workers stopped by frame errors after
+several rounds.  The (64,32) random-frame ``decode`` outputs are the goldens
 ``tests/data/decode_ga64_32_*``.
 """
 
 import argparse
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +55,9 @@ BER = {
 # 600 frames in chunks of 256: two full chunks and a partial one of 88
 BER_POINT = ("--ebn0", "2,2.5", "--min-frame-errors", "1000000", "--max-frames", "600",
              "--batch", "256")
+# stops on 40 frame errors after 2 to 15 chunks of 256, well inside the frame budget
+BER_ERROR_STOP = ("--ebn0", "2,2.5", "--min-frame-errors", "40", "--max-frames", "100000",
+                  "--batch", "256")
 
 
 def calls():
@@ -76,6 +81,10 @@ def calls():
             name = f"ber_ga1024_512_{label}_w{workers}"
             yield name, ("ber", *CODES["ga1024_512"], *flags, *BER_POINT,
                          "--workers", workers, "--out", f"{name}.csv")
+    for workers in ("1", "2"):
+        name = f"ber_ga1024_512_fast_ssc_float_error_stop_w{workers}"
+        yield name, ("ber", *CODES["ga1024_512"], *BER["fast_ssc_float"], *BER_ERROR_STOP,
+                     "--workers", workers, "--out", f"{name}.csv")
 
 
 def main(argv=None):
@@ -83,7 +92,9 @@ def main(argv=None):
     ap.add_argument("outdir", type=Path)
     args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    with contextlib.chdir(args.outdir):
+    cwd = os.getcwd()
+    os.chdir(args.outdir)
+    try:
         Path(FRAMES_FILE).write_text(FRAMES_TEXT)
         for n, (name, call) in enumerate(calls(), 1):
             out, err = io.StringIO(), io.StringIO()
@@ -93,6 +104,8 @@ def main(argv=None):
                 print(f"fastssc {' '.join(call)} exited {rc}: {err.getvalue()}", file=sys.stderr)
                 return 1
             Path(f"{name}.txt").write_text(out.getvalue())
+    finally:
+        os.chdir(cwd)
     print(f"ran {n} calls; their outputs are in {args.outdir}")
     return 0
 

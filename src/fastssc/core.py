@@ -71,10 +71,10 @@ class PolarCode:
         return np.flatnonzero(self.frozen)
 
     @classmethod
-    def from_frozen_mask(cls, frozen, construction=None):
+    def from_frozen_mask(cls, frozen):
+        """The code whose frozen positions are the true entries of ``frozen``."""
         frozen = np.asarray(frozen, dtype=bool)
-        k = int((~frozen).sum())
-        return cls(len(frozen), k, frozen, construction or CodeConstruction("manual"))
+        return cls(len(frozen), int((~frozen).sum()), frozen)
 
 
 def db_to_linear(db):

@@ -94,11 +94,13 @@ def _tree(frozen, stage, root=None):
     """The node table and op list of the decode tree over the frozen mask
     ``frozen`` of length ``2**stage``, built in one preorder descent.
 
-    A leaf gives its kind's op.  A branch gives ``"f"``, its left subtree,
-    ``"g"``, its right subtree and ``"combine"`` (see :class:`DecodePlan`);
-    an update that only feeds a rate-0 child is optional, and a combine with
-    a rate-0 right child XORs zeros, so it is left out.  ``root`` overrides
-    the root's kind.
+    Each op is ``(op, node, optional, left, right)`` in decode order.  A
+    leaf gives its kind with its own codeword rows as ``left``.  A branch
+    gives ``"f"``, its left subtree, ``"g"``, its right subtree and
+    ``"combine"``, with the rows of its two halves as ``left`` and
+    ``right``.  An optional op only feeds or fills a rate-0 node, so it runs
+    only under a hook; a combine with a rate-0 right child XORs zeros, so it
+    is left out.  ``root`` overrides the root's kind.
     """
     nodes, ops = [], []
 
@@ -228,10 +230,11 @@ def _rep_into(a, out, scratch, spec=None):
 
 
 def _plan(code):
-    """The code's :class:`DecodePlan`, built once and cached on the code."""
+    """The code's :class:`ScheduleReport` with its ops, built once and cached
+    on the code."""
     plan = getattr(code, "_decode_plan", None)
     if plan is None:
-        plan = DecodePlan(*_tree(code.frozen, code.n))
+        plan = ScheduleReport(*_tree(code.frozen, code.n))
         object.__setattr__(code, "_decode_plan", plan)  # the code is frozen
     return plan
 
@@ -394,9 +397,14 @@ def _split_ops(kind, stage):
 
 @dataclass(frozen=True)
 class ScheduleReport:
-    """Cycle accounting for one decode of one code, nodes in visit order."""
+    """Cycle accounting for one decode of one code, nodes in visit order.
+
+    A code's cached plan also holds the op list the decode loop runs (see
+    :func:`_tree`); a :func:`latency_model` report holds none.
+    """
 
     entries: tuple = ()
+    ops: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def total_cycles(self):
@@ -404,20 +412,6 @@ class ScheduleReport:
 
     def to_json(self):
         return json.dumps([{**e.__dict__, "kind": e.kind.value} for e in self.entries], indent=2)
-
-
-@dataclass(frozen=True)
-class DecodePlan(ScheduleReport):
-    """A code's node table plus the flat op list the decode loop runs.
-
-    Each op is ``(op, node, optional, left, right)`` in decode order.  A
-    branch gives ``"f"``, ``"g"`` and ``"combine"`` with the codeword rows of
-    its two halves as ``left`` and ``right``; a leaf gives its kind with its
-    own rows as ``left``.  An optional op only feeds or fills a rate-0 node,
-    so it runs only under a hook.
-    """
-
-    ops: tuple = field(default=(), repr=False, compare=False)
 
 
 @functools.cache

@@ -85,18 +85,6 @@ class TrialStats:
             return 0.0
         return self.frame_errors / self.frames
 
-    def merge(self, other):
-        """Combine counters from two disjoint frame ranges (associative)."""
-        if other.frames and self.frames and other.info_bits_per_frame != self.info_bits_per_frame:
-            raise ValueError("cannot merge stats with different frame sizes")
-        k = self.info_bits_per_frame if self.frames else other.info_bits_per_frame
-        return TrialStats(
-            self.frames + other.frames,
-            self.bit_errors + other.bit_errors,
-            self.frame_errors + other.frame_errors,
-            k,
-        )
-
 
 DRAW_BLOCK = 64
 
@@ -197,7 +185,7 @@ def _pool(n_workers, pid):
 
 
 def _run_chunk(code, decode, cfg, first_frame, count):
-    """Error counts of frames [first_frame, first_frame + count).
+    """``(frame_errors, bit_errors)`` of frames [first_frame, first_frame + count).
 
     A frame is in error exactly when its codeword estimate differs from the
     sent codeword: every decoder returns ``x_hat = u_hat * G`` with ``u_hat``
@@ -207,13 +195,7 @@ def _run_chunk(code, decode, cfg, first_frame, count):
     msgs, tx, llr = channel_frames(code, cfg, first_frame, count)
     res = decode(llr)
     bad = (res.x_hat != tx).any(axis=1)
-    bit_errors = int((res.u_hat[bad][:, code.info_indices] != msgs[bad]).sum())
-    return TrialStats(
-        frames=count,
-        bit_errors=bit_errors,
-        frame_errors=int(bad.sum()),
-        info_bits_per_frame=code.K,
-    )
+    return int(bad.sum()), int((res.u_hat[bad][:, code.info_indices] != msgs[bad]).sum())
 
 
 def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
@@ -226,6 +208,7 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
     and is checked for every decoder.  Each round decodes up to ``batch *
     workers`` frames in chunks of ``batch`` on a pool of ``workers`` threads.
     """
+    batch, workers = operator.index(batch), operator.index(workers)
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     decode = make_decoder(code, decoder, quant, tie_mode)
@@ -236,8 +219,11 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
         end = min(stats.frames + batch * n_workers, stop.max_frames)
         starts = range(stats.frames, end, batch)
         counts = [min(batch, end - lo) for lo in starts]
-        for r in pool.map(partial(_run_chunk, code, decode, cfg), starts, counts):
-            stats = stats.merge(r)
+        for frame_errors, bit_errors in pool.map(partial(_run_chunk, code, decode, cfg),
+                                                 starts, counts):
+            stats.frame_errors += frame_errors
+            stats.bit_errors += bit_errors
+        stats.frames = end
     return stats
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import threading
+import types
 from collections import Counter
 
 import numpy as np
@@ -428,6 +429,29 @@ def test_plan_op_counts_of_the_ga_codes(K, total, optional, counts):
     got = Counter((op if isinstance(op, str) else op.value, opt) for op, _, opt, *_ in ops)
     assert got == counts
     assert len(ops) == total and sum(opt for _, _, opt, *_ in ops) == optional
+
+
+@pytest.mark.parametrize("K, bare, hooked", [(512, 64, 83), (870, 43, 44)])
+def test_decode_runs_optional_updates_only_under_a_hook(monkeypatch, rng, K, bare, hooked):
+    # The f update is fast's only np.minimum, so counting its calls counts
+    # the f ops a decode runs.  Without a hook the 19 and 1 f updates that
+    # only feed a rate-0 child are skipped; zero-free float frames in
+    # hardware mode repair nothing, so no other f runs.
+    calls = []
+
+    def minimum(*args, **kwargs):
+        calls.append(None)
+        return np.minimum(*args, **kwargs)
+
+    monkeypatch.setattr(fast, "np", types.SimpleNamespace(**{**vars(np), "minimum": minimum}))
+    code = construct_code(1024, K, 2.0)
+    _, llr = noisy_float_llr(code, rng, 3)
+    assert (llr != 0).all()
+    fast_ssc_decode(code, llr, tie_mode="hardware")
+    assert len(calls) == bare
+    calls.clear()
+    fast._walk(code, llr, None, "hardware", hook=lambda *args: None)
+    assert len(calls) == hooked
 
 
 def test_plan_skips_the_combine_over_a_rate0_right_child():

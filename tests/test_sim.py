@@ -20,6 +20,7 @@ from fastssc import (
     stats_csv_text,
     throughput_gbps,
 )
+from fastssc import sim
 from fastssc.sim import _run_chunk, draw_messages_and_noise, make_decoder, resolve_workers
 from conftest import noisy_float_llr, noisy_int_llr, random_code
 
@@ -78,18 +79,20 @@ def test_awgn_llr_blocks_are_byte_identical(rng, batch):
                 awgn_llr(bits, cfg, noise=nz)
 
 
-def test_trial_stats_rates_and_merge():
+def test_trial_stats_rates_and_merge(monkeypatch):
     a = TrialStats(100, 30, 10, info_bits_per_frame=50)
-    b = TrialStats(50, 10, 5, info_bits_per_frame=50)
     assert a.ber == pytest.approx(30 / 5000)
     assert a.fer == pytest.approx(0.1)
-    m = a.merge(b)
-    assert (m.frames, m.bit_errors, m.frame_errors) == (150, 40, 15)
     empty = TrialStats()
     assert empty.ber == 0.0 and empty.fer == 0.0
-    assert (empty.merge(a).merge(b).frames == a.merge(b.merge(empty)).frames)
-    with pytest.raises(ValueError):
-        a.merge(TrialStats(1, 0, 0, info_bits_per_frame=9))
+    # run_point adds its chunks' (frame_errors, bit_errors) and sizes: frames
+    # 0-99 count as a, frames 100-149 as TrialStats(50, 10, 5)
+    chunks = {(0, 100): (10, 30), (100, 50): (5, 10)}
+    monkeypatch.setattr(sim, "_run_chunk", lambda code, decode, cfg, first, count: chunks[first, count])
+    code = construct_code(64, 50, 2.0)
+    m = run_point(code, ChannelConfig(1.0, code.rate), stop=StopRule(10**9, 150), batch=100)
+    assert (m.frames, m.bit_errors, m.frame_errors) == (150, 40, 15)
+    assert m.ber == pytest.approx(40 / 7500)
 
 
 def test_draw_is_per_frame_deterministic():
@@ -203,6 +206,16 @@ def test_run_point_rejects_empty_batch(batch):
         run_point(code, ChannelConfig(1.0, code.rate), stop=StopRule(1, 10), batch=batch)
 
 
+def test_run_point_counts_are_integers():
+    code = construct_code(16, 8, 2.0)
+    point = dict(cfg=ChannelConfig(1.0, code.rate), stop=StopRule(10**9, 40))
+    want = run_point(code, **point, batch=16, workers=1)
+    assert run_point(code, **point, batch=np.int64(16), workers=np.int64(1)) == want
+    for counts in ({"workers": 2.5}, {"workers": 1.0}, {"batch": 2.5}, {"batch": np.float64(16.0)}):
+        with pytest.raises(TypeError):
+            run_point(code, **point, **counts)
+
+
 def test_different_seeds_differ():
     code = construct_code(32, 16, 2.0)
     m1, n1 = draw_messages_and_noise(ChannelConfig(1.0, code.rate, seed=1), code.K, code.N, 0, 300)
@@ -249,8 +262,7 @@ def test_decoders_return_codewords_so_chunks_count_on_them(n, k, raw, seed, deco
     msgs, noise = draw_messages_and_noise(cfg, code.K, N, first, 40)
     errs = decode(awgn_llr(encode(code, msgs), cfg, noise)).u_hat[:, code.info_indices] != msgs
     got = _run_chunk(code, decode, cfg, first, 40)
-    assert (got.frames, got.bit_errors, got.frame_errors) == (
-        40, int(errs.sum()), int(errs.any(axis=1).sum()))
+    assert got == (int(errs.any(axis=1).sum()), int(errs.sum()))
 
 
 # (frames, bit_errors, frame_errors) as the harness counted them on u_hat's
