@@ -64,7 +64,10 @@ def parse_ebn0(text):
     for token in text.split(","):
         token = token.strip()
         if ":" in token:
-            lo, hi, step = (float(t) for t in token.split(":"))
+            fields = token.split(":")
+            if len(fields) != 3:
+                raise ValueError(f"Eb/N0 range {token!r} must have the form lo:hi:step")
+            lo, hi, step = map(float, fields)
             # points are rounded to 1e-6 dB, so a finer step would repeat them
             if (not all(math.isfinite(v) for v in (lo, hi, step)) or hi < lo
                     or step < 1e-6 or lo + step == lo):
@@ -111,8 +114,8 @@ def cmd_schedule(args):
     for e in report.entries:
         print(f"node={e.node:5d} kind={e.kind.value:7s} stage={e.stage:2d} offset={e.offset:5d} cycles={e.cycles}")
     total = report.total_cycles
-    conv = sc_latency_cycles(code, "conventional")
-    pre = sc_latency_cycles(code, "precomputed")
+    conv = sc_latency_cycles(code.N, precompute=False)
+    pre = sc_latency_cycles(code.N)
     base = two_bit_precomputed_cycles(code.N)
     print(f"total_cycles={total}")
     print(f"reduction_vs_conventional_{conv}={1 - total / conv:.4f}")

@@ -9,6 +9,7 @@ the same butterfly maps ``u -> x`` and ``x -> u``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -18,7 +19,9 @@ MAX_N = 2**20  # largest block length any code constructor accepts
 
 
 def _check_size(N, K):
-    """Raise ValueError unless N is a power of 2 up to MAX_N and 1 <= K <= N."""
+    """Raise TypeError unless N and K are integers, and ValueError unless N
+    is a power of 2 up to MAX_N and 1 <= K <= N."""
+    N, K = operator.index(N), operator.index(K)
     if N < 1 or N & (N - 1):
         raise ValueError(f"N must be a power of 2, got {N}")
     if N > MAX_N:

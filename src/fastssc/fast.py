@@ -94,13 +94,13 @@ def _tree(frozen, stage, root=None):
     """The node table and op list of the decode tree over the frozen mask
     ``frozen`` of length ``2**stage``, built in one preorder descent.
 
-    Each op is ``(op, node, optional, left, right)`` in decode order.  A
-    leaf gives its kind with its own codeword rows as ``left``.  A branch
-    gives ``"f"``, its left subtree, ``"g"``, its right subtree and
-    ``"combine"``, with the rows of its two halves as ``left`` and
-    ``right``.  An optional op only feeds or fills a rate-0 node, so it runs
-    only under a hook; a combine with a rate-0 right child XORs zeros, so it
-    is left out.  ``root`` overrides the root's kind.
+    Each op is ``(op, node, optional, left, right)`` in decode order, with
+    ``op`` a string.  A leaf gives its kind's value with its own codeword
+    rows as ``left``.  A branch gives ``"f"``, its left subtree, ``"g"``,
+    its right subtree and ``"combine"``, with the rows of its two halves as
+    ``left`` and ``right``.  An optional op only feeds or fills a rate-0
+    node, so it runs only under a hook; a combine with a rate-0 right child
+    XORs zeros, so it is left out.  ``root`` overrides the root's kind.
     """
     nodes, ops = [], []
 
@@ -110,7 +110,7 @@ def _tree(frozen, stage, root=None):
         node = DecodeNode(len(nodes), kind, stage, offset, node_cycles(kind, stage))
         nodes.append(node)
         if kind is not NodeKind.BRANCH:
-            ops.append((kind, node, kind is NodeKind.RATE0, slice(offset, offset + size), None))
+            ops.append((kind.value, node, kind is NodeKind.RATE0, slice(offset, offset + size), None))
             return
         rows = slice(offset, offset + half), slice(offset + half, offset + size)
         left, right = (_classify_mask(frozen[r]) for r in rows)
@@ -355,20 +355,20 @@ def _run(ops, root, spec, exact, hook=None):
             np.bitwise_xor(masks[left], masks[right], out=masks[left])
         else:
             beta, risk = masks[left], None
-            if op is NodeKind.RATE1:
+            if op == "rate1":
                 _hard_masks(a, beta)
                 # SC resolves a zero LLR from its neighbours, a threshold
                 # locally; a single bit's threshold is SC's leaf decision
                 if exact and s:
                     risk = (a == 0).any(axis=0)
-            elif op is NodeKind.SPC:
+            elif op == "spc":
                 risk = _spc_into(a, beta, free[s], exact)[1]
-            elif op is NodeKind.REP:
+            elif op == "rep":
                 _rep_into(a, beta, free[s], spec)
             if risk is not None and risk.any():
-                beta[:, risk] = _repair(op, s, a[:, risk], spec)
+                beta[:, risk] = _repair(node.kind, s, a[:, risk], spec)
             if hook:
-                hook(node, op.value, a, np.negative(beta))
+                hook(node, op, a, np.negative(beta))
     return masks
 
 
@@ -438,17 +438,14 @@ def node_cycles(kind, stage, precompute=True):
     return len(_node_steps(kind, stage)) + (kind is NodeKind.BRANCH and not precompute)
 
 
-def sc_latency_cycles(code, variant="conventional"):
-    """Cycle count of sequential SC schedules.
+def sc_latency_cycles(N, precompute=True):
+    """Cycle count of the sequential SC schedule of length ``N``.
 
-    ``"conventional"`` charges separate check and variable updates (2N - 2);
-    ``"precomputed"`` computes both speculatively in one pass (N - 1).
+    With ``precompute`` both updates are computed speculatively in one pass
+    (N - 1); without it check and variable updates are charged separately
+    (2N - 2).
     """
-    if variant == "conventional":
-        return 2 * code.N - 2
-    if variant == "precomputed":
-        return code.N - 1
-    raise ValueError(f"unknown latency variant {variant!r}")
+    return N - 1 if precompute else 2 * N - 2
 
 
 def two_bit_precomputed_cycles(N):

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_size
 from .fast import ScheduleReport, _node_steps, _plan, _rep_into, _spc_into, _walk
 from .quant import QuantSpec
 from .reference import DecodeResult, hard_decision
@@ -40,8 +41,7 @@ class PuTree:
     """
 
     def __init__(self, N, spec=None):
-        if N < 2 or N & (N - 1):
-            raise ValueError(f"N must be a power of 2 >= 2, got {N}")
+        _check_size(N, 1)
         self.N = N
         self.spec = QuantSpec(4, 5, 0) if spec is None else spec
 

@@ -8,6 +8,7 @@ A quantization scheme is written ``C,L,F``: channel LLRs are quantized to
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,7 @@ class QuantSpec:
     fraction_bits: int
 
     def __post_init__(self):
-        c, l, f = self.channel_bits, self.internal_bits, self.fraction_bits
+        c, l, f = map(operator.index, (self.channel_bits, self.internal_bits, self.fraction_bits))
         # Wide specs emulate unquantized arithmetic (datapaths use L <= 16).
         # C >= 2 leaves a nonzero channel limit (C = 1 quantizes every LLR to
         # 0), L <= 63 keeps in-range sums from wrapping in int64, and C <= 54

@@ -126,12 +126,10 @@ def test_06_throughput_arithmetic(capsys):
 
 
 def test_07_baseline_latencies(capsys):
-    rng = np.random.default_rng(707)
     for n in range(1, 11):
         N = 1 << n
-        code = random_code(N, rng)
-        assert fs.sc_latency_cycles(code, "conventional") == 2 * N - 2
-        assert fs.sc_latency_cycles(code, "precomputed") == N - 1
+        assert fs.sc_latency_cycles(N, precompute=False) == 2 * N - 2
+        assert fs.sc_latency_cycles(N) == N - 1
         assert fs.two_bit_precomputed_cycles(N) == 0.75 * N - 1
     rows = fs.latency_reduction_sweep(1024, [0.5], 2.0)
     assert rows[0]["reduction"] == 1 - rows[0]["cycles"] / fs.two_bit_precomputed_cycles(1024)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -140,16 +141,27 @@ def test_ber_ebn0_range_syntax(capsys):
     assert out.count("ebn0_db=") == 3
 
 
-@pytest.mark.parametrize("bad", ["1:2:0", "1:2:-0.5", "1:inf:1", "1:2:nan", "0:1:1e-6",
-                                 "0:1e300:1e-300", "5:5:1e-300", "0:0:1e-300",
-                                 # reversed, and finer than the 1e-6 dB rounding of points
-                                 "3:1:0.5", "1:1.000001:1e-8",
-                                 # half-way points that round onto each other
-                                 "1.0000005:1.0000205:1e-6", "0.0000005:0.0001:1e-6",
-                                 # a point repeated across tokens
-                                 "2,1:3:1", "2,2"])
-def test_parse_ebn0_rejects_bad_ranges(bad):
-    with pytest.raises(ValueError):
+BAD_RANGES = [  # (token, a piece of its error message)
+    ("1:2:0", "needs finite bounds"), ("1:2:-0.5", "needs finite bounds"),
+    ("1:inf:1", "needs finite bounds"), ("1:2:nan", "needs finite bounds"),
+    ("0:1:1e-6", "more than 1000 points"), ("0:1e300:1e-300", "needs finite bounds"),
+    ("5:5:1e-300", "needs finite bounds"), ("0:0:1e-300", "needs finite bounds"),
+    # reversed, and finer than the 1e-6 dB rounding of points
+    ("3:1:0.5", "needs finite bounds"), ("1:1.000001:1e-8", "needs finite bounds"),
+    # half-way points that round onto each other
+    ("1.0000005:1.0000205:1e-6", "appears more than once"),
+    ("0.0000005:0.0001:1e-6", "appears more than once"),
+    # a point repeated across tokens
+    ("2,1:3:1", "appears more than once"), ("2,2", "appears more than once"),
+    # too many or too few fields
+    ("1:2:0.5:3", "'1:2:0.5:3' must have the form lo:hi:step"),
+    ("1:2", "'1:2' must have the form lo:hi:step"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_RANGES, ids=[bad for bad, _ in BAD_RANGES])
+def test_parse_ebn0_rejects_bad_ranges(bad, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_ebn0(bad)
 
 
@@ -170,42 +182,51 @@ def test_ber_bad_sweep_exits_one(capsys, extra):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [
-    ("decode", "--frames", "0"),
-    ("decode", "--ebn0", "1e6"),
-    ("construct", "--design-snr", "nan"),
-    ("construct", "--design-snr", "nan", "--method", "bhattacharyya"),
-    ("construct", "--design-snr", "inf"),
-    ("construct", "--design-snr", "1e6"),
-    ("schedule", "--n", "1", "--k", "1"),
-    ("decode", "--decoder", "hw", "--quant", "1,1,0"),
-    ("decode", "--seed", "-1"),
-    ("decode", "--seed", str(2**64)),
-    ("ber", "--ebn0", "2", "--seed", "-1"),
-    ("ber", "--ebn0", "2", "--seed", str(2**64)),
+BAD_INPUT = [  # (argv, a piece of its error message)
+    (("decode", "--frames", "0"), "--frames must be >= 1"),
+    (("decode", "--ebn0", "1e6"), "no finite nonzero linear value"),
+    (("construct", "--design-snr", "nan"), "no finite nonzero linear value"),
+    (("construct", "--design-snr", "nan", "--method", "bhattacharyya"),
+     "no finite nonzero linear value"),
+    (("construct", "--design-snr", "inf"), "no finite nonzero linear value"),
+    (("construct", "--design-snr", "1e6"), "no finite nonzero linear value"),
+    (("schedule", "--n", "1", "--k", "1"), "schedule needs N >= 2"),
+    (("decode", "--decoder", "hw", "--quant", "1,1,0"), "need 2 <= C <= L"),
+    (("decode", "--seed", "-1"), "seed must be in 0..2**64-1"),
+    (("decode", "--seed", str(2**64)), "seed must be in 0..2**64-1"),
+    (("ber", "--ebn0", "2", "--seed", "-1"), "seed must be in 0..2**64-1"),
+    (("ber", "--ebn0", "2", "--seed", str(2**64)), "seed must be in 0..2**64-1"),
     # size caps, checked before anything of that size is built
-    ("construct", "--n", str(2 * MAX_N), "--k", "1"),
-    ("schedule", "--n", str(2 * MAX_N), "--k", "1"),
+    (("construct", "--n", str(2 * MAX_N), "--k", "1"), "above the cap"),
+    (("schedule", "--n", str(2 * MAX_N), "--k", "1"), "above the cap"),
     # an unwritable --json path fails before the schedule is printed
-    ("schedule", "--json", "/nonexistent/x.json"),
-    ("decode", "--frames", str(MAX_CHUNK_VALUES // 16 + 1)),
-    ("ber", "--ebn0", "2", "--batch", str(MAX_CHUNK_VALUES // 16 + 1)),
+    (("schedule", "--json", "/nonexistent/x.json"), "No such file or directory"),
+    (("decode", "--frames", str(MAX_CHUNK_VALUES // 16 + 1)), "holds more than"),
+    (("ber", "--ebn0", "2", "--batch", str(MAX_CHUNK_VALUES // 16 + 1)), "holds more than"),
     # an empty value is a bad value, not an absent option
-    ("decode", "--quant", ""),
-    ("ber", "--ebn0", "2", "--quant", ""),
-    ("decode", "--frozen-file", ""),
-    ("decode", "--frame-file", ""),
-    ("decode", "--decoder", "sc", "--trace", ""),
-    ("decode", "--decoder", "hw", "--trace", ""),
-    ("schedule", "--json", ""),
-    ("construct", "--out", ""),
-    ("ber", "--ebn0", "2", "--out", ""),
-])
-def test_bad_input_exits_one_with_no_output(capsys, argv):
+    (("decode", "--quant", ""), "quantization spec must be 'C,L,F'"),
+    (("ber", "--ebn0", "2", "--quant", ""), "quantization spec must be 'C,L,F'"),
+    (("decode", "--frozen-file", ""), "No such file or directory"),
+    (("decode", "--frame-file", ""), "No such file or directory"),
+    (("decode", "--decoder", "sc", "--trace", ""), "only available with --decoder hw"),
+    (("decode", "--decoder", "hw", "--trace", ""), "No such file or directory"),
+    (("schedule", "--json", ""), "No such file or directory"),
+    (("construct", "--out", ""), "No such file or directory"),
+    (("ber", "--ebn0", "2", "--out", ""), "No such file or directory"),
+    # a frozen-set file's 'N K' line reads as a frame of two values
+    (("decode", "--frame-file", str(DATA_DIR / "frozen_1024_512_ga2.0.txt")),
+     "frame length 2 does not match N=16"),
+    (("decode", "--frame-file", os.devnull), "no frames in"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT,
+                         ids=[f"argv{i}" for i in range(len(BAD_INPUT))])
+def test_bad_input_exits_one_with_no_output(capsys, argv, message):
     # the default code goes first, so a case may override --n and --k
     rc, out, err = run_cli(capsys, argv[0], "--n", "16", "--k", "8", *argv[1:])
     assert rc == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and message in err
     assert out == ""
 
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fastssc import (
     PolarCode,
+    PuTree,
+    QuantSpec,
     construct_code,
     encode,
     fast_ssc_decode,
@@ -106,6 +108,12 @@ def test_code_validation():
         construct_code(16, 17, 2.0)
     with pytest.raises(ValueError):
         PolarCode(N=8, K=3, frozen=np.ones(8, dtype=bool), construction=None)
+    with pytest.raises(ValueError, match="frozen mask length must equal N"):
+        PolarCode(8, 4, np.arange(4) < 2)
+    with pytest.raises(ValueError, match="unknown construction method 'rm'"):
+        construct_code(16, 8, 2.0, method="rm")
+    with pytest.raises(ValueError, match="message length must be K=8, got 7"):
+        encode(construct_code(16, 8, 2.0), np.zeros(7))
     for method in ("ga", "bhattacharyya"):
         for snr in (float("nan"), float("inf"), float("-inf"), 1e6, -1e6):
             with pytest.raises(ValueError, match="SNR"):
@@ -186,20 +194,22 @@ def test_frozen_file_roundtrip(tmp_path, rng):
     assert frozen_file_text(code).splitlines()[0] == "64 20"
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "8 4\n0 1 2\n",          # count mismatch
-        "8 4\n0 1 2 9\n",        # out of range
-        "8 4\n0 1 2 2\n",        # duplicate
-        "6 3\n0 1 2\n",          # N not a power of two
-        "4 2\n0 1\n0 2\n",       # a line after the indices
-    ],
-)
-def test_frozen_file_rejects_malformed(tmp_path, text):
+MALFORMED_FILES = [  # (text, a piece of its error message)
+    ("8 4\n0 1 2\n", "expected 4 frozen indices, found 3"),
+    ("8 4\n0 1 2 9\n", "frozen index out of range"),
+    ("8 4\n0 1 2 2\n", "duplicate frozen index"),
+    ("6 3\n0 1 2\n", "power of 2"),
+    ("4 2\n0 1\n0 2\n", "at most two non-empty lines"),
+    ("", "empty frozen-set file"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_FILES,
+                         ids=[text or "empty" for text, _ in MALFORMED_FILES])
+def test_frozen_file_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         read_frozen_file(path)
 
 
@@ -230,6 +240,18 @@ def test_constructors_cap_n_first(monkeypatch):
             construct_code(2 * core.MAX_N, 1, 2.0, method=method)
     with pytest.raises(ValueError, match="cap"):
         PolarCode(2 * core.MAX_N, 1, np.zeros(1, dtype=bool))
+    with pytest.raises(ValueError, match="cap"):
+        PuTree(2 * core.MAX_N)
+
+
+def test_sizes_and_widths_are_integers():
+    mask = np.arange(16) < 8
+    with pytest.raises(TypeError):
+        PolarCode(16, 8.0, mask)
+    with pytest.raises(TypeError):
+        QuantSpec(4.5, 5, 0)
+    assert PolarCode(np.int64(16), np.int64(8), mask).K == 8
+    assert str(QuantSpec(np.int64(4), np.int64(5), np.int64(0))) == "4,5,0"
 
 
 def test_rate_and_index_properties():

@@ -23,6 +23,8 @@ from fastssc import (
     latency_reduction_sweep,
     node_cycles,
     sc_decode,
+    sc_latency_cycles,
+    two_bit_precomputed_cycles,
 )
 from fastssc import fast
 from fastssc.fast import _plan, _spc_into
@@ -394,6 +396,12 @@ def test_node_cycles_table():
     assert node_cycles(NodeKind.RATE1, 0) == 0
 
 
+def test_latency_baselines():
+    assert sc_latency_cycles(16, precompute=False) == 30
+    assert sc_latency_cycles(16) == 15
+    assert two_bit_precomputed_cycles(1024) == 767
+
+
 def test_latency_unprunable_tree_is_n_minus_1():
     # [0,1] pairs split into bare leaves, so nothing prunes above stage 0
     for N in (4, 16, 64):
@@ -403,6 +411,8 @@ def test_latency_unprunable_tree_is_n_minus_1():
         assert report.total_cycles == N - 1
         no_pre = latency_model(classified(code), precompute=False)
         assert no_pre.total_cycles == 2 * N - 2
+        for p in (True, False):
+            assert sc_latency_cycles(N, p) == latency_model(classified(code), p).total_cycles
 
 
 def test_latency_single_node_codes():
@@ -426,7 +436,7 @@ def test_plan_op_counts_of_the_ga_codes(K, total, optional, counts):
     # An op added to the plan, or an update that only feeds a rate-0 child
     # left mandatory, costs time without changing one bit.
     ops = _plan(construct_code(1024, K, 2.0)).ops
-    got = Counter((op if isinstance(op, str) else op.value, opt) for op, _, opt, *_ in ops)
+    got = Counter((op, opt) for op, _, opt, *_ in ops)
     assert got == counts
     assert len(ops) == total and sum(opt for _, _, opt, *_ in ops) == optional
 
@@ -459,7 +469,7 @@ def test_plan_skips_the_combine_over_a_rate0_right_child():
     # frozen: its g update and its leaf only run under a hook, and the
     # combine would XOR zeros, so it is left out.
     ops = _plan(PolarCode.from_frozen_mask(np.array([False, False, True, True]))).ops
-    got = [(op if isinstance(op, str) else op.value, opt) for op, _, opt, *_ in ops]
+    got = [(op, opt) for op, _, opt, *_ in ops]
     assert got == [("f", False), ("rate1", False), ("g", True), ("rate0", True)]
 
 
@@ -582,7 +592,7 @@ def test_smallest_codes_and_empty_batches_decode(mask, rng):
     code = PolarCode.from_frozen_mask(np.array(mask))
     N = code.N
     spec = QuantSpec(4, 5, 0)
-    tree = PuTree(2, spec)
+    tree = PuTree(N, spec)
     decoders = [lambda x: sc_decode(code, x, spec),
                 lambda x: fast_ssc_decode(code, x, spec, tie_mode="exact"),
                 lambda x: fast_ssc_decode(code, x, spec, tie_mode="hardware"),

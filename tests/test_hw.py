@@ -35,28 +35,6 @@ def test_hw_decode_matches_fast_hardware_mode(rng):
             assert (hw.x_hat == sw.x_hat).all()
 
 
-def test_hw_cycle_totals_match_latency_model(rng):
-    for _ in range(100):
-        N = 2 ** int(rng.integers(2, 8))
-        code = random_code(N, rng)
-        tree = PuTree(N, SPEC)
-        _, llr = noisy_int_llr(code, rng, frames=2)
-        hw = hw_decode_frame(tree, code, llr)
-        model = latency_model(classified(code))
-        assert hw.cycle_trace.total_cycles == model.total_cycles
-
-
-def test_hw_schedule_mirrors_model_nodes(rng):
-    code = construct_code(32, 16, 2.0)
-    tree = PuTree(32, SPEC)
-    _, llr = noisy_int_llr(code, rng, frames=1)
-    hw = hw_decode_frame(tree, code, llr)
-    model = latency_model(classified(code))
-    got = [(e.node, e.kind, e.cycles) for e in hw.cycle_trace.entries]
-    want = [(e.node, e.kind, e.cycles) for e in model.entries]
-    assert got == want
-
-
 def test_hw_trace_jsonl_schema(tmp_path, rng):
     code = construct_code(16, 8, 2.0)
     tree = PuTree(16, SPEC)

@@ -19,8 +19,6 @@ from fastssc import (
     hw_decode_frame,
     quantize_channel,
     sc_decode,
-    sc_latency_cycles,
-    two_bit_precomputed_cycles,
 )
 from fastssc.reference import prepare_llr
 from conftest import noisy_float_llr, noisy_int_llr, random_code
@@ -236,12 +234,3 @@ def test_sc_decode_validates_quantized_inputs():
     code = construct_code(8, 4, 2.0)
     with pytest.raises(ValueError):
         sc_decode(code, np.full(8, 99, dtype=np.int64), QuantSpec(4, 5, 0))
-
-
-def test_latency_baselines():
-    code = construct_code(16, 8, 2.0)
-    assert sc_latency_cycles(code, "conventional") == 30
-    assert sc_latency_cycles(code, "precomputed") == 15
-    assert two_bit_precomputed_cycles(1024) == 767
-    with pytest.raises(ValueError):
-        sc_latency_cycles(code, "nonsense")

@@ -1,8 +1,11 @@
 import csv
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -52,3 +55,24 @@ def test_cli_outputs_smoke(tmp_path, capsys):
     rows = list(csv.DictReader((tmp_path / "ber_ga1024_512_hw_w2.csv").open()))
     assert [(r["ebn0_db"], r["frames"]) for r in rows] == [("2.0", "600"), ("2.5", "600")]
     assert f"ran {len(names)} calls" in capsys.readouterr().out
+
+
+def test_line_coverage_smoke():
+    # a subprocess, so the package is first imported under the tracer
+    run = subprocess.run([sys.executable, str(SCRIPTS / "line_coverage.py"), "-q",
+                          "-p", "no:cacheprovider", "tests/test_docs.py"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    package = ROOT / "src" / "fastssc"
+    unreached = {name: rest.split("statements unreached")[1].split()
+                 for name, _, rest in (line.partition(": ") for line in run.stdout.splitlines())
+                 if name.endswith(".py")}
+    assert set(unreached) == {path.name for path in package.glob("*.py")}
+
+    def line_of(module, start):
+        lines = (package / module).read_text().splitlines()
+        return str(next(i for i, line in enumerate(lines, 1) if line.startswith(start)))
+
+    # module-level lines run on import; the entry point never runs in-process
+    assert line_of("core.py", "MAX_N = ") not in unreached["core.py"]
+    assert line_of("cli.py", "    sys.exit(main())") in unreached["cli.py"]
