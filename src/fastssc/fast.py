@@ -32,6 +32,11 @@ while that stage is worked on, so they double as its scratch.  A rate-0
 node's estimate is the codeword buffer's initial zeros, so the update that
 feeds it is skipped unless a hook watches the walk.
 
+At 16 frames an op's kernels take about a microsecond each, so the loop keeps
+its fixed work per op small: each stage's two halves, the column index
+vector and the saturation bounds are made once per run, and a hard decision
+on integer words is one arithmetic shift of the sign bit.
+
 Tie resolution
 --------------
 The shortcut rules match plain SC decoding whenever a node's LLRs contain no
@@ -152,13 +157,22 @@ def _bit_reversal(size):
 
 
 def _hard_masks(a, out):
-    """Hard decisions of ``a`` as 0/-1 masks into ``out``: -1 where a < 0."""
-    np.less(a, 0, out=out)
-    np.negative(out, out=out)
+    """Hard decisions of ``a`` as 0/-1 masks into ``out``: -1 where a < 0.
+
+    On signed-integer words an arithmetic right shift by the word width less
+    one gives the mask in one call; floats compare, so -0.0 decides 0.
+    ``out`` may be taller than ``a``, which then broadcasts down it.
+    """
+    if a.dtype.kind == "i":
+        np.right_shift(a, 8 * a.itemsize - 1, out=out)
+    else:
+        np.less(a, 0, out=out)
+        np.negative(out, out=out)
 
 
-def _spc_into(a, out, scratch, tie_check=False):
-    """Single-parity-check decode of a (size, batch) block into 0/-1 masks.
+def _spc_into(a, out, scratch, cols, tie_check=False):
+    """Single-parity-check decode of a (size, batch) block into 0/-1 masks;
+    ``cols`` is ``np.arange(batch)``, made once per run by the caller.
 
     Thresholds, then the parity repair flips the minimum |LLR| that a
     strict-less comparator tree finds.  Each round compares the low half of
@@ -201,7 +215,7 @@ def _spc_into(a, out, scratch, tie_check=False):
     mags = a.take(order, axis=0, out=scratch, mode="wrap")
     np.abs(mags, out=mags)
     lane = mags.argmin(axis=0)
-    rows, cols = order[lane], np.arange(a.shape[1])
+    rows = order[lane]
     out[rows, cols] ^= parity
     if not tie_check:
         return rows, None
@@ -209,24 +223,30 @@ def _spc_into(a, out, scratch, tie_check=False):
     return rows, (low == 0) | ((parity != 0) & (np.count_nonzero(mags == low, axis=0) > 1))
 
 
-def _rep_into(a, out, scratch, spec=None):
+def _rep_into(a, out, scratch, sat):
     """Repetition decode of a (size, batch) block into 0/-1 masks: the sign
     of each column's sum, replicated.  Returns the (1, batch) sums.
 
     The sum is accumulated in ``scratch`` pairwise over strides of half the
-    node length, saturating at each level when a quantization spec is given.
-    That is the exact order the plain SC recursion (and the adder tree in the
-    datapath model) accumulates it in, which keeps all three bit-identical.
+    node length, saturating at each level to ``sat``, a ``(-limit, limit)``
+    pair from :func:`_bounds`, unless it is None.  That is the exact order
+    the plain SC recursion (and the adder tree in the datapath model)
+    accumulates it in, which keeps all three bit-identical.
     """
-    lim = None if spec is None else a.dtype.type(spec.internal_limit)
     while len(a) > 1:
         half = len(a) // 2
         a = np.add(a[:half], a[half:], out=scratch[:half])
-        if lim is not None:
-            a.clip(-lim, lim, out=a)
-    _hard_masks(a, out[:1])
-    out[1:] = out[0]
+        if sat is not None:
+            a.clip(*sat, out=a)
+    _hard_masks(a, out)
     return a
+
+
+def _bounds(spec, dtype):
+    """The saturation bounds ``(-limit, limit)`` of ``spec``'s internal words
+    as 0-d arrays of ``dtype``, which a ufunc takes in less time than
+    scalars."""
+    return tuple(np.array(v, dtype) for v in (-spec.internal_limit, spec.internal_limit))
 
 
 def _plan(code):
@@ -314,47 +334,52 @@ def _run(ops, root, spec, exact, hook=None):
     N, batch = root.shape
     # Stage s's LLRs are rows [N - 2**(s+1), N - 2**s) of scratch, and the
     # rows after them, the deeper stages', are its free rows.  The root
-    # stage's LLRs are the root.
+    # stage's LLRs are the root.  Every update of a stage reads the same two
+    # halves, its far rows and its near rows.
     scratch = np.empty((N, batch), dtype=root.dtype)
     n = N.bit_length() - 1
     alpha = [scratch[N - (2 << s) : N - (1 << s)] for s in range(n)] + [root]
+    halves = [(a[: len(a) // 2], a[len(a) // 2 :]) for a in alpha]
     free = [scratch[N - (1 << s) :] for s in range(n + 1)]
     masks = np.zeros((N, batch), dtype=np.int8 if spec is None else spec.word_dtype)
+    cols = np.arange(batch)
     if spec is None:
-        signs = np.empty((N // 2, batch), dtype=np.int8)
+        signs, sat = np.empty((N // 2, batch), dtype=np.int8), None
     else:
-        lim = root.dtype.type(spec.internal_limit)
+        sat = _bounds(spec, root.dtype)
+    add, subtract, xor = np.add, np.subtract, np.bitwise_xor
+    minimum, maximum, negative = np.minimum, np.maximum, np.negative
 
     for op, node, optional, left, right in ops:
         if optional and hook is None:
             continue
         s = node.stage
-        a = alpha[s]
         if op == "f":
-            out, tmp, half = alpha[s - 1], free[s - 1], len(a) // 2
-            np.minimum(a[:half], a[half:], out=out)
-            np.maximum(a[:half], a[half:], out=tmp)
-            np.negative(tmp, out=tmp)
-            np.maximum(out, tmp, out=out)
+            (far, near), out, tmp = halves[s], alpha[s - 1], free[s - 1]
+            minimum(far, near, out=out)
+            maximum(far, near, out=tmp)
+            negative(tmp, out=tmp)
+            maximum(out, tmp, out=out)
             if hook:
-                hook(node, "f", a, out)
+                hook(node, "f", alpha[s], out)
         elif op == "g":
-            out, m, half = alpha[s - 1], masks[left], len(a) // 2
-            if spec is None:
-                np.bitwise_or(m, 1, out=signs[:half])
-                np.multiply(a[:half], signs[:half], out=out)
+            (far, near), out, m = halves[s], alpha[s - 1], masks[left]
+            if sat is None:
+                sign = np.bitwise_or(m, 1, out=signs[: len(m)])
+                np.multiply(far, sign, out=out)
+                add(out, near, out=out)
             else:
-                np.bitwise_xor(a[:half], m, out=out)
-                np.subtract(out, m, out=out)
-            np.add(out, a[half:], out=out)
-            if spec is not None:
-                out.clip(-lim, lim, out=out)
+                xor(far, m, out=out)
+                subtract(out, m, out=out)
+                add(out, near, out=out)
+                out.clip(*sat, out=out)
             if hook:
-                hook(node, "g", np.negative(m), out)
+                hook(node, "g", negative(m), out)
         elif op == "combine":
-            np.bitwise_xor(masks[left], masks[right], out=masks[left])
+            beta = masks[left]
+            xor(beta, masks[right], out=beta)
         else:
-            beta, risk = masks[left], None
+            a, beta, risk = alpha[s], masks[left], None
             if op == "rate1":
                 _hard_masks(a, beta)
                 # SC resolves a zero LLR from its neighbours, a threshold
@@ -362,13 +387,13 @@ def _run(ops, root, spec, exact, hook=None):
                 if exact and s:
                     risk = (a == 0).any(axis=0)
             elif op == "spc":
-                risk = _spc_into(a, beta, free[s], exact)[1]
+                risk = _spc_into(a, beta, free[s], cols, exact)[1]
             elif op == "rep":
-                _rep_into(a, beta, free[s], spec)
+                _rep_into(a, beta, free[s], sat)
             if risk is not None and risk.any():
                 beta[:, risk] = _repair(node.kind, s, a[:, risk], spec)
             if hook:
-                hook(node, op, a, np.negative(beta))
+                hook(node, op, a, negative(beta))
     return masks
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .core import db_to_linear, encode
 from .fast import _check_tie_mode, fast_ssc_decode
 from .hw import PuTree, hw_decode_frame
-from .quant import QuantSpec
 from .reference import sc_decode
 
 CSV_HEADER = ["ebn0_db", "frames", "bit_errors", "frame_errors", "ber", "fer"]

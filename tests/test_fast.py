@@ -50,7 +50,7 @@ def decode_rep(alphas, spec=None):
 def spc_survivors(mags):
     """The row the SPC kernel's comparator fold keeps in each column of a
     (size, batch) block of magnitudes."""
-    return _spc_into(mags, np.empty_like(mags), np.empty_like(mags))[0]
+    return _spc_into(mags, np.empty_like(mags), np.empty_like(mags), np.arange(mags.shape[1]))[0]
 
 
 def kinds_by_preorder(code):
@@ -128,6 +128,21 @@ def test_spc_fold_matches_comparator_tree(rng):
     blocks += [rng.integers(0, 4, size=(200, n)) for n in (16, 64, 256, 1024)]
     for mags in blocks:
         assert spc_survivors(mags.T).tolist() == [comparator_fold_argmin(row) for row in mags]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.float64])
+def test_hard_masks_match_the_sign_comparison(dtype):
+    # Integer words take the sign-bit shift, floats the comparison; a
+    # (1, batch) row, as REP writes it, broadcasts down a taller out.
+    info = np.finfo if dtype is np.float64 else np.iinfo
+    top = info(dtype).max
+    a = np.array([[-top, -1, 0, 1, top] + ([-0.0] if dtype is np.float64 else [])], dtype=dtype)
+    want = -(a < 0).astype(np.int64)
+    masks = np.int8 if dtype is np.float64 else dtype
+    for rows in (1, 4):
+        out = np.full((rows, a.shape[1]), 5, dtype=masks)
+        fast._hard_masks(a, out)
+        assert out.tolist() == np.repeat(want, rows, axis=0).tolist()
 
 
 def test_decode_spc_parity_and_flip():

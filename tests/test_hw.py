@@ -140,7 +140,8 @@ def test_decoding_caches_one_private_attribute(rng):
 
 @settings(max_examples=150)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 3),
-       spec=st.sampled_from([SPEC, QuantSpec(3, 3, 0), QuantSpec(5, 6, 1), QuantSpec(6, 10, 2)]))
+       spec=st.sampled_from([SPEC, QuantSpec(3, 3, 0), QuantSpec(5, 6, 1), QuantSpec(6, 10, 2),
+                             QuantSpec(8, 20, 0), QuantSpec(8, 40, 0)]))
 def test_datapath_matches_the_scalar_model(n, seed, frames, spec):
     # Small words make ties and parity repairs common; words at the internal
     # limit make sums saturate.
