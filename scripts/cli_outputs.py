@@ -8,6 +8,10 @@ library compare with one ``diff -r``:
 
     PYTHONPATH=src python3 scripts/cli_outputs.py OUTDIR
 
+``OUTDIR/SHA256SUMS`` then lists every other file's digest in ``sha256sum``
+format, so ``sha256sum -c SHA256SUMS`` in OUTDIR checks a run against it.
+``tests/data/cli_outputs.sha256`` is that file for the current outputs.
+
 The list covers ``construct``, ``schedule`` with and without precompute,
 ``decode`` with each decoder (the datapath model with its cycle trace) on
 random frames and on ``FRAMES_FILE``, and ``ber`` CSVs and stdout with each
@@ -19,6 +23,7 @@ several rounds.  The (64,32) random-frame ``decode`` outputs are the goldens
 
 import argparse
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -58,6 +63,8 @@ BER_POINT = ("--ebn0", "2,2.5", "--min-frame-errors", "1000000", "--max-frames",
 # stops on 40 frame errors after 2 to 15 chunks of 256, well inside the frame budget
 BER_ERROR_STOP = ("--ebn0", "2,2.5", "--min-frame-errors", "40", "--max-frames", "100000",
                   "--batch", "256")
+
+MANIFEST = "SHA256SUMS"
 
 
 def calls():
@@ -104,6 +111,9 @@ def main(argv=None):
                 print(f"fastssc {' '.join(call)} exited {rc}: {err.getvalue()}", file=sys.stderr)
                 return 1
             Path(f"{name}.txt").write_text(out.getvalue())
+        files = sorted(p for p in Path().iterdir() if p.is_file() and p.name != MANIFEST)
+        Path(MANIFEST).write_text("".join(
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files))
     finally:
         os.chdir(cwd)
     print(f"ran {n} calls; their outputs are in {args.outdir}")

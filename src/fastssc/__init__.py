@@ -32,16 +32,10 @@ from .quant import (
     QuantSpec,
     dequantize,
     quantize_channel,
-    sat_add,
-    saturate,
     validate_quantized,
 )
 from .reference import (
     DecodeResult,
-    combine_beta,
-    f_min_sum,
-    g_function,
-    hard_decision,
     sc_decode,
 )
 from .sim import (
@@ -69,14 +63,8 @@ __all__ = [
     "QuantSpec",
     "quantize_channel",
     "dequantize",
-    "sat_add",
-    "saturate",
     "validate_quantized",
     "DecodeResult",
-    "f_min_sum",
-    "g_function",
-    "hard_decision",
-    "combine_beta",
     "sc_decode",
     "sc_latency_cycles",
     "two_bit_precomputed_cycles",

@@ -238,8 +238,9 @@ def build_parser():
     _add_code_args(p)
     _add_decoder_args(p)
     p.add_argument("--ebn0", required=True, help="comma list and/or lo:hi:step ranges, in dB")
-    p.add_argument("--min-frame-errors", type=int, default=200)
-    p.add_argument("--max-frames", type=int, default=10_000_000)
+    stop = sim.StopRule()
+    p.add_argument("--min-frame-errors", type=int, default=stop.min_frame_errors)
+    p.add_argument("--max-frames", type=int, default=stop.max_frames)
     p.add_argument("--batch", type=int, default=2048)
     p.add_argument("--workers", type=int, default=1,
                    help="parallel workers, at most the CPU count (default 1)")

@@ -32,7 +32,7 @@ import numpy as np
 from .core import _check_size
 from .fast import ScheduleReport, _bounds, _node_steps, _plan, _rep_into, _spc_into, _walk
 from .quant import QuantSpec
-from .reference import DecodeResult, hard_decision
+from .reference import DecodeResult
 
 
 class PuTree:
@@ -79,7 +79,7 @@ def _step_values(op, layer, inp, out, spec):
         return None, None
     if op == "ptu_route":
         # the repair flips a bit exactly when the parity check fails
-        return int((out != hard_decision(inp)).any()), None
+        return int((out != (inp < 0)).any()), None
     # After the comparator or adder round that leaves 2**layer lanes, lane 0
     # has combined every (2**layer)-th input, in the kernel's own order.
     lanes = inp[:: 1 << layer]

@@ -71,15 +71,6 @@ class QuantSpec:
         return 1 << self.fraction_bits
 
 
-def saturate(values, bits):
-    """Clamp integer values to the symmetric range of a ``bits``-bit word."""
-    values = np.asarray(values)
-    lim = (1 << (bits - 1)) - 1
-    if values.dtype.kind == "i" and bits <= 8 * values.dtype.itemsize:
-        lim = values.dtype.type(lim)  # Python-int bounds cost np.clip two iinfo lookups
-    return np.clip(values, -lim, lim)
-
-
 _ROW_BLOCK = 64
 
 
@@ -148,7 +139,9 @@ def sat_add(a, b, spec):
     if getattr(a, "dtype", None) != dtype or getattr(b, "dtype", None) != dtype:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-    return saturate(a + b, spec.internal_bits)
+    total = a + b
+    lim = total.dtype.type(spec.internal_limit)  # Python-int bounds cost np.clip two iinfo lookups
+    return np.clip(total, -lim, lim)
 
 
 def validate_quantized(llr, spec):

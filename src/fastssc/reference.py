@@ -42,45 +42,6 @@ def _negate_where(x, flip):
     return x * (1 - 2 * np.asarray(flip, dtype=bool).view(np.int8))
 
 
-def f_min_sum(a, b):
-    """Min-sum check-node update: sign(a)sign(b)min(|a|, |b|), sign(0) = +1.
-
-    Computed in sign-magnitude form, in the operands' own dtype.  sign(0) =
-    +1 keeps every zero-LLR decision consistent with the "LLR >= 0 decides 0"
-    convention.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return _negate_where(np.minimum(np.abs(a), np.abs(b)), (a < 0) != (b < 0))
-
-
-def g_function(beta, a_near, a_far, spec=None):
-    """Variable-node update: a_near + a_far when beta = 0, a_near - a_far when beta = 1.
-
-    With a quantization spec the addition saturates to the internal width.
-    """
-    a_near = np.asarray(a_near)
-    signed_far = _negate_where(np.asarray(a_far), beta)
-    if spec is None:
-        return a_near + signed_far
-    return sat_add(a_near, signed_far, spec)
-
-
-def hard_decision(a):
-    """Threshold detection: 0 for LLR >= 0, else 1."""
-    return (np.asarray(a) < 0).astype(np.uint8)
-
-
-def combine_beta(beta_left, beta_right):
-    """Stitch child codeword estimates: [left XOR right, right], stacked
-    along axis 0, which holds the positions in a (size, batch) block."""
-    beta_left = np.asarray(beta_left, dtype=np.uint8)
-    beta_right = np.asarray(beta_right, dtype=np.uint8)
-    if beta_left.shape != beta_right.shape:
-        raise ValueError("child estimates must have equal length")
-    return np.concatenate([beta_left ^ beta_right, beta_right])
-
-
 def _transpose(src, dst):
     """Copy ``src.T`` into ``dst``, in blocks of source rows that stay in cache."""
     step = max(32, 16384 // max(src.shape[1], 1))
@@ -156,11 +117,18 @@ def sc_decode(code, llr, spec=None):
 
     def recurse(a, lo):
         if len(a) == 1:
-            return np.zeros(a.shape, dtype=np.uint8) if code.frozen[lo] else hard_decision(a)
+            if code.frozen[lo]:
+                return np.zeros(a.shape, dtype=np.uint8)
+            return (a < 0).astype(np.uint8)
         half = len(a) // 2
         far, near = a[:half], a[half:]
-        beta_l = recurse(f_min_sum(far, near), lo)
-        beta_r = recurse(g_function(beta_l, near, far, spec), lo + half)
-        return combine_beta(beta_l, beta_r)
+        # f: min-sum, sign(far) sign(near) min(|far|, |near|) with sign(0) = +1
+        beta_l = recurse(_negate_where(np.minimum(np.abs(far), np.abs(near)),
+                                       (far < 0) != (near < 0)), lo)
+        # g: near + far where beta_l is 0, near - far where it is 1
+        g = _negate_where(far, beta_l)
+        g = near + g if spec is None else sat_add(near, g, spec)
+        beta_r = recurse(g, lo + half)
+        return np.concatenate([beta_l ^ beta_r, beta_r])
 
     return decode_result(recurse(alpha, 0), single)

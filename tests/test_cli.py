@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastssc import cli, construct_code, read_frozen_file
+from fastssc import cli, construct_code, read_frozen_file, sim
 from fastssc.cli import MAX_CHUNK_VALUES, MAX_RANGE_POINTS, main, parse_ebn0
 from fastssc.core import MAX_N
 from conftest import DATA_DIR
@@ -124,6 +124,12 @@ def test_ber_csv_output(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "ebn0_db,frames,bit_errors,frame_errors,ber,fer"
     assert len(lines) == 3
+
+
+def test_ber_stop_defaults_are_the_stop_rule_defaults():
+    assert (sim.StopRule().min_frame_errors, sim.StopRule().max_frames) == (200, 10_000_000)
+    args = cli.build_parser().parse_args(["ber", "--n", "16", "--k", "8", "--ebn0", "2"])
+    assert (args.min_frame_errors, args.max_frames) == (200, 10_000_000)
 
 
 def test_ber_out_fails_before_the_sweep(tmp_path, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fastssc import QuantSpec, dequantize, quantize_channel, sat_add, saturate, validate_quantized
+from fastssc import QuantSpec, dequantize, quantize_channel, validate_quantized
+from fastssc.quant import sat_add
 from fastssc.reference import prepare_llr
 
 
@@ -134,13 +135,6 @@ def test_validate_quantized_rejects_non_integers(llr):
     # a float is not a raw word: it must not be truncated to one
     with pytest.raises(ValueError, match="integers"):
         validate_quantized(llr, QuantSpec(4, 5, 0))
-
-
-def test_saturate_idempotent():
-    x = np.arange(-40, 40)
-    once = saturate(x, 5)
-    assert (saturate(once, 5) == once).all()
-    assert once.max() == 15 and once.min() == -15
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -55,6 +56,15 @@ def test_cli_outputs_smoke(tmp_path, capsys):
     rows = list(csv.DictReader((tmp_path / "ber_ga1024_512_hw_w2.csv").open()))
     assert [(r["ebn0_db"], r["frames"]) for r in rows] == [("2.0", "600"), ("2.5", "600")]
     assert f"ran {len(names)} calls" in capsys.readouterr().out
+    # Every output is pinned by its digest.  The ber digests also pin
+    # numpy's Philox and normal streams, as test_draw_golden_values does.
+    pinned = (data / "cli_outputs.sha256").read_text()
+    want = dict(reversed(line.split("  ", 1)) for line in pinned.splitlines())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir() if p.name != module.MANIFEST}
+    assert sorted(set(got) ^ set(want)) == []
+    assert [name for name in sorted(want) if got[name] != want[name]] == []
+    assert (tmp_path / module.MANIFEST).read_text() == pinned
 
 
 def test_line_coverage_smoke():
