@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -99,9 +98,7 @@ def main(argv=None):
     ap.add_argument("outdir", type=Path)
     args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    cwd = os.getcwd()
-    os.chdir(args.outdir)
-    try:
+    with contextlib.chdir(args.outdir):
         Path(FRAMES_FILE).write_text(FRAMES_TEXT)
         for n, (name, call) in enumerate(calls(), 1):
             out, err = io.StringIO(), io.StringIO()
@@ -114,8 +111,6 @@ def main(argv=None):
         files = sorted(p for p in Path().iterdir() if p.is_file() and p.name != MANIFEST)
         Path(MANIFEST).write_text("".join(
             f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in files))
-    finally:
-        os.chdir(cwd)
     print(f"ran {n} calls; their outputs are in {args.outdir}")
     return 0
 

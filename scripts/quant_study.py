@@ -25,7 +25,7 @@ def main(argv=None):
                     help="comma list and/or lo:hi:step ranges, in dB")
     ap.add_argument("--schemes", default="4,5,0;5,6,0;6,7,1",
                     help="semicolon-separated C,L,F triples")
-    ap.add_argument("--min-frame-errors", type=int, default=200)
+    ap.add_argument("--min-frame-errors", type=int, default=StopRule().min_frame_errors)
     ap.add_argument("--max-frames", type=int, default=400_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)

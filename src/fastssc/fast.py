@@ -33,9 +33,10 @@ node's estimate is the codeword buffer's initial zeros, so the update that
 feeds it is skipped unless a hook watches the walk.
 
 At 16 frames an op's kernels take about a microsecond each, so the loop keeps
-its fixed work per op small: each stage's two halves, the column index
-vector and the saturation bounds are made once per run, and a hard decision
-on integer words is one arithmetic shift of the sign bit.
+its fixed work per op small: each stage's two halves and the column index
+vector are made once per run, the saturation bounds are the spec's cached
+``word_bounds``, and a hard decision on integer words is one arithmetic
+shift of the sign bit.
 
 Tie resolution
 --------------
@@ -228,10 +229,10 @@ def _rep_into(a, out, scratch, sat):
     of each column's sum, replicated.  Returns the (1, batch) sums.
 
     The sum is accumulated in ``scratch`` pairwise over strides of half the
-    node length, saturating at each level to ``sat``, a ``(-limit, limit)``
-    pair from :func:`_bounds`, unless it is None.  That is the exact order
-    the plain SC recursion (and the adder tree in the datapath model)
-    accumulates it in, which keeps all three bit-identical.
+    node length, saturating at each level to ``sat``, the spec's
+    :attr:`~fastssc.quant.QuantSpec.word_bounds`, unless it is None.  That
+    is the exact order the plain SC recursion (and the adder tree in the
+    datapath model) accumulates it in, which keeps all three bit-identical.
     """
     while len(a) > 1:
         half = len(a) // 2
@@ -240,13 +241,6 @@ def _rep_into(a, out, scratch, sat):
             a.clip(*sat, out=a)
     _hard_masks(a, out)
     return a
-
-
-def _bounds(spec, dtype):
-    """The saturation bounds ``(-limit, limit)`` of ``spec``'s internal words
-    as 0-d arrays of ``dtype``, which a ufunc takes in less time than
-    scalars."""
-    return tuple(np.array(v, dtype) for v in (-spec.internal_limit, spec.internal_limit))
 
 
 def _plan(code):
@@ -346,7 +340,7 @@ def _run(ops, root, spec, exact, hook=None):
     if spec is None:
         signs, sat = np.empty((N // 2, batch), dtype=np.int8), None
     else:
-        sat = _bounds(spec, root.dtype)
+        sat = spec.word_bounds
     add, subtract, xor = np.add, np.subtract, np.bitwise_xor
     minimum, maximum, negative = np.minimum, np.maximum, np.negative
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _check_size
-from .fast import ScheduleReport, _bounds, _node_steps, _plan, _rep_into, _spc_into, _walk
+from .fast import ScheduleReport, _node_steps, _plan, _rep_into, _spc_into, _walk
 from .quant import QuantSpec
 from .reference import DecodeResult
 
@@ -85,7 +85,7 @@ def _step_values(op, layer, inp, out, spec):
     lanes = inp[:: 1 << layer]
     bufs = np.empty_like(lanes), np.empty_like(lanes)
     if op == "rep_accumulate":
-        return None, _rep_into(lanes, *bufs, _bounds(spec, lanes.dtype)).item()
+        return None, _rep_into(lanes, *bufs, spec.word_bounds).item()
     return None, lanes[_spc_into(lanes, *bufs, np.arange(1))[0][0], 0].item()
 
 

@@ -65,6 +65,14 @@ class QuantSpec:
         int8 for L <= 7, int16 for L <= 15, int32 for L <= 31, else int64."""
         return np.min_scalar_type(-2 * self.internal_limit)
 
+    @cached_property
+    def word_bounds(self):
+        """``(-internal_limit, internal_limit)`` as read-only 0-d arrays of
+        :attr:`word_dtype`, the form ``ndarray.clip`` takes fastest."""
+        bounds = np.array([-self.internal_limit, self.internal_limit], self.word_dtype)
+        bounds.flags.writeable = False
+        return bounds[0, ...], bounds[1, ...]
+
     @property
     def scale(self):
         """Raw integers encode value * 2**fraction_bits."""
@@ -130,18 +138,11 @@ def dequantize(raw, spec):
 def sat_add(a, b, spec):
     """Add raw integers and saturate to the internal ``L``-bit range.
 
-    Operands are L-bit words, ``|x| <= spec.internal_limit``, so their sum
-    fits :attr:`QuantSpec.word_dtype`.  When both operands already have that
-    dtype the sum is taken in it; any other input (Python ints, int64, mixed
-    dtypes) is added in int64.
+    Operands are L-bit words of :attr:`QuantSpec.word_dtype`, ``|x| <=
+    spec.internal_limit``, so their sum fits that dtype and the result keeps
+    it.
     """
-    dtype = spec.word_dtype
-    if getattr(a, "dtype", None) != dtype or getattr(b, "dtype", None) != dtype:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-    total = a + b
-    lim = total.dtype.type(spec.internal_limit)  # Python-int bounds cost np.clip two iinfo lookups
-    return np.clip(total, -lim, lim)
+    return np.clip(a + b, *spec.word_bounds)
 
 
 def validate_quantized(llr, spec):

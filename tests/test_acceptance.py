@@ -60,7 +60,7 @@ def test_02_datapath_model_equals_pruned_decoder(capsys):
             assert hw.cycle_trace.total_cycles == cycles
             checked += frames
     _report(capsys, f"[2/9] cycle-level datapath equals pruned decoder: PASS "
-                    f"({checked:,} frames, cycle totals match the closed-form model)")
+                    f"({checked:,} frames, cycle totals match the scalar datapath model)")
 
 
 def test_03_short_node_decoders_are_ml(capsys):
@@ -96,6 +96,10 @@ def test_04_latency_reduction_floor(capsys):
     baseline = fs.two_bit_precomputed_cycles(1024)
     rates = [round(r, 2) for r in np.arange(0.05, 0.951, 0.05)]
     rows = fs.latency_reduction_sweep(1024, rates, design_snr_db=2.0)
+    assert [(r["K"], r["cycles"]) for r in rows] == [
+        (51, 90), (102, 133), (154, 178), (205, 217), (256, 230), (307, 254), (358, 266),
+        (410, 266), (461, 279), (512, 289), (563, 274), (614, 274), (666, 254), (717, 241),
+        (768, 226), (819, 208), (870, 173), (922, 156), (973, 155)]
     worst = max(r["cycles"] for r in rows)
     for r in rows:
         assert r["cycles"] <= 0.40 * baseline, f"rate {r['rate']}: {r['cycles']} cycles"

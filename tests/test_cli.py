@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -130,6 +131,14 @@ def test_ber_stop_defaults_are_the_stop_rule_defaults():
     assert (sim.StopRule().min_frame_errors, sim.StopRule().max_frames) == (200, 10_000_000)
     args = cli.build_parser().parse_args(["ber", "--n", "16", "--k", "8", "--ebn0", "2"])
     assert (args.min_frame_errors, args.max_frames) == (200, 10_000_000)
+    # the rest of ber's defaults are the harness's own
+    point = inspect.signature(sim.run_point).parameters
+    sweep = inspect.signature(sim.run_ber_sweep).parameters
+    harness = (point["batch"].default, point["workers"].default, point["tie_mode"].default,
+               sweep["seed"].default, point["decoder"].default)
+    assert harness == (2048, 1, "exact", 0, "fast_ssc")
+    mapped = cli._decoder_settings(args)
+    assert (args.batch, args.workers, mapped["tie_mode"], args.seed, mapped["decoder"]) == harness
 
 
 def test_ber_out_fails_before_the_sweep(tmp_path, capsys):

@@ -185,12 +185,20 @@ def test_sat_add_in_word_dtype_matches_clipped_int64(bits, dtype, data):
     spec = QuantSpec(2, bits, 0)
     assert spec.word_dtype == dtype
     lim = spec.internal_limit
+    bounds = spec.word_bounds
+    assert bounds == (-lim, lim)
+    for bound in bounds:
+        assert bound.dtype == spec.word_dtype
+        assert not bound.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bound[...] = 0
+    assert spec.word_bounds is bounds  # cached: made once per spec
     n = data.draw(st.integers(0, 8))
     word = st.integers(-lim, lim)
     # the corners first: the largest sums a word dtype must hold
     a = [lim, -lim, lim, -lim] + data.draw(st.lists(word, min_size=n, max_size=n))
     b = [lim, -lim, -lim, lim] + data.draw(st.lists(word, min_size=n, max_size=n))
     out = sat_add(np.array(a, dtype=dtype), np.array(b, dtype=dtype), spec)
-    assert out.dtype == dtype
+    assert out.dtype == dtype == spec.word_dtype
     want = np.clip(np.array(a, dtype=np.int64) + np.array(b, dtype=np.int64), -lim, lim)
     assert (out.astype(np.int64) == want).all()
