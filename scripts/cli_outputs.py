@@ -17,8 +17,9 @@ The list covers ``construct``, ``schedule`` with and without precompute,
 random frames and on ``FRAMES_FILE``, and ``ber`` CSVs and stdout with each
 decoder setting at one and two workers, with a partial last chunk, and with
 float ``fast-ssc`` at one and two workers stopped by frame errors after
-several rounds.  The (64,32) random-frame ``decode`` outputs are the goldens
-``tests/data/decode_ga64_32_*``.
+several rounds, and with ``4,5,0`` ``fast-ssc`` at one and two workers in
+chunks of 100 frames, which start inside 64-frame draw blocks.  The (64,32)
+random-frame ``decode`` outputs are the goldens ``tests/data/decode_ga64_32_*``.
 """
 
 import argparse
@@ -62,6 +63,9 @@ BER_POINT = ("--ebn0", "2,2.5", "--min-frame-errors", "1000000", "--max-frames",
 # stops on 40 frame errors after 2 to 15 chunks of 256, well inside the frame budget
 BER_ERROR_STOP = ("--ebn0", "2,2.5", "--min-frame-errors", "40", "--max-frames", "100000",
                   "--batch", "256")
+# 600 frames in chunks of 100: every chunk but the first starts inside a draw block
+BER_MID_BLOCK = ("--ebn0", "2,2.5", "--min-frame-errors", "1000000", "--max-frames", "600",
+                 "--batch", "100")
 
 MANIFEST = "SHA256SUMS"
 
@@ -90,6 +94,10 @@ def calls():
     for workers in ("1", "2"):
         name = f"ber_ga1024_512_fast_ssc_float_error_stop_w{workers}"
         yield name, ("ber", *CODES["ga1024_512"], *BER["fast_ssc_float"], *BER_ERROR_STOP,
+                     "--workers", workers, "--out", f"{name}.csv")
+    for workers in ("1", "2"):
+        name = f"ber_ga1024_512_fast_ssc_q450_exact_mid_block_w{workers}"
+        yield name, ("ber", *CODES["ga1024_512"], *BER["fast_ssc_q450_exact"], *BER_MID_BLOCK,
                      "--workers", workers, "--out", f"{name}.csv")
 
 

@@ -170,7 +170,7 @@ def cmd_decode(args):
         if args.frames < 1:
             raise ValueError(f"--frames must be >= 1, got {args.frames}")
         cfg = sim.ChannelConfig(args.ebn0, code.rate, args.seed)
-        tx_msgs, _, llr = sim.channel_frames(code, cfg, 0, args.frames)
+        tx_msgs, _, llr = sim.channel_frames(code, cfg, 0, args.frames, settings["quant"])
     decode = sim.make_decoder(code, **settings)
     result = decode(llr) if args.trace is None else decode(llr, trace=True)
     if args.trace is not None:

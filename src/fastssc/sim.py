@@ -25,6 +25,7 @@ import numpy as np
 from .core import db_to_linear, encode
 from .fast import _check_tie_mode, fast_ssc_decode
 from .hw import PuTree, hw_decode_frame
+from .quant import quantize_channel
 from .reference import sc_decode
 
 CSV_HEADER = ["ebn0_db", "frames", "bit_errors", "frame_errors", "ber", "fer"]
@@ -88,6 +89,28 @@ class TrialStats:
 DRAW_BLOCK = 64
 
 
+def _draw_messages(cfg, K, first_frame, count):
+    """Messages of every block of ``DRAW_BLOCK`` frames that [first_frame,
+    first_frame + count) touches, as one (blocks * DRAW_BLOCK, K) array, each
+    block's Philox generator, already advanced past its messages, and the
+    row of ``first_frame`` in the array.
+
+    Block ``b``'s generator is keyed ``(seed, b)`` and fills its messages
+    ``(DRAW_BLOCK, K)`` first; its noise is the next draw.
+    """
+    first_block = first_frame // DRAW_BLOCK
+    blocks = range(first_block, -(-(first_frame + count) // DRAW_BLOCK))
+    msgs = np.empty((len(blocks) * DRAW_BLOCK, K), dtype=np.uint8)
+    rngs = []
+    for j, block in enumerate(blocks):
+        key = np.array([cfg.seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        msgs[j * DRAW_BLOCK : (j + 1) * DRAW_BLOCK] = rng.integers(
+            0, 2, size=(DRAW_BLOCK, K), dtype=np.uint8)
+        rngs.append(rng)
+    return msgs, rngs, first_frame - first_block * DRAW_BLOCK
+
+
 def draw_messages_and_noise(cfg, K, N, first_frame, count):
     """Messages and unit-variance noise for frames [first, first+count).
 
@@ -95,17 +118,10 @@ def draw_messages_and_noise(cfg, K, N, first_frame, count):
     a Philox generator keyed ``(seed, frame // DRAW_BLOCK)``: messages
     ``(DRAW_BLOCK, K)`` first, then noise ``(DRAW_BLOCK, N)``.
     """
-    first_block = first_frame // DRAW_BLOCK
-    blocks = range(first_block, -(-(first_frame + count) // DRAW_BLOCK))
-    msgs = np.empty((len(blocks) * DRAW_BLOCK, K), dtype=np.uint8)
-    noise = np.empty((len(blocks) * DRAW_BLOCK, N), dtype=np.float64)
-    for j, block in enumerate(blocks):
-        key = np.array([cfg.seed, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        rows = slice(j * DRAW_BLOCK, (j + 1) * DRAW_BLOCK)
-        msgs[rows] = rng.integers(0, 2, size=(DRAW_BLOCK, K), dtype=np.uint8)
-        rng.standard_normal(out=noise[rows])
-    skip = first_frame - first_block * DRAW_BLOCK
+    msgs, rngs, skip = _draw_messages(cfg, K, first_frame, count)
+    noise = np.empty((len(rngs) * DRAW_BLOCK, N), dtype=np.float64)
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=noise[j * DRAW_BLOCK : (j + 1) * DRAW_BLOCK])
     return msgs[skip:skip + count], noise[skip:skip + count]
 
 
@@ -114,9 +130,10 @@ def awgn_llr(codeword, cfg, noise):
 
     Bit 0 maps to +1, bit 1 to -1; the LLR of received sample y is
     ``2 y / noise_var``, positive favouring bit 0.  ``noise`` is the frames'
-    unit-variance draw from :func:`draw_messages_and_noise`, a float64 array
-    of the codeword's shape; it is overwritten with the LLRs and returned,
-    so a chunk holds one float64 block, not two.
+    unit-variance draw, a float64 array of the codeword's shape; it is
+    overwritten with the LLRs and returned, so a chunk holds one float64
+    block, not two: the whole chunk's in float, one draw block's in fixed
+    point (see :func:`channel_frames`).
 
     Each element is ``2.0 * ((1.0 - 2.0 * bit) + sqrt(var) * noise) / var``,
     evaluated in that order, on blocks of ``DRAW_BLOCK`` rows, so the
@@ -142,12 +159,35 @@ def awgn_llr(codeword, cfg, noise):
     return noise
 
 
-def channel_frames(code, cfg, first_frame, count):
+def channel_frames(code, cfg, first_frame, count, spec=None):
     """Messages, codewords and BPSK/AWGN channel LLRs of frames [first_frame,
-    first_frame + count); the LLRs are written over the draw's noise."""
-    msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
+    first_frame + count).
+
+    Without a spec the LLRs are float64, written over the chunk's draw of
+    noise.  With one they are ``spec.word_dtype`` words, the channel's
+    :func:`~fastssc.quant.quantize_channel` of those LLRs, made one draw
+    block at a time: each block's noise is drawn into one reused
+    ``(DRAW_BLOCK, N)`` float64 buffer, and its kept rows go through
+    :func:`awgn_llr` and then the quantizer, so no float64 block of the
+    chunk's size is ever held.
+    """
+    if spec is None:
+        msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
+        codewords = encode(code, msgs)
+        return msgs, codewords, awgn_llr(codewords, cfg, noise)
+    msgs, rngs, skip = _draw_messages(cfg, code.K, first_frame, count)
+    msgs = msgs[skip:skip + count]
     codewords = encode(code, msgs)
-    return msgs, codewords, awgn_llr(codewords, cfg, noise)
+    words = np.empty(codewords.shape, dtype=spec.word_dtype)
+    noise = np.empty((DRAW_BLOCK, code.N), dtype=np.float64)
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=noise)
+        # the block's rows in the chunk, clipped to the range
+        lo = j * DRAW_BLOCK - skip
+        rows = slice(max(lo, 0), min(lo + DRAW_BLOCK, count))
+        kept = noise[rows.start - lo : rows.stop - lo]
+        words[rows] = quantize_channel(awgn_llr(codewords[rows], cfg, kept), spec)
+    return msgs, codewords, words
 
 
 def make_decoder(code, decoder, quant, tie_mode):
@@ -183,15 +223,19 @@ def _pool(n_workers, pid):
     return ThreadPoolExecutor(n_workers)
 
 
-def _run_chunk(code, decode, cfg, first_frame, count):
+def _run_chunk(code, decode, cfg, first_frame, count, spec=None):
     """``(frame_errors, bit_errors)`` of frames [first_frame, first_frame + count).
+
+    ``spec`` is the decoder's ``quant``: with one, the channel hands the
+    decoder ``spec.word_dtype`` words (see :func:`channel_frames`), the words
+    the decoder would have quantized from float LLRs itself.
 
     A frame is in error exactly when its codeword estimate differs from the
     sent codeword: every decoder returns ``x_hat = u_hat * G`` with ``u_hat``
     zero on the frozen positions, and the transform is a bijection.  Only
     those frames' message bits are compared.
     """
-    msgs, tx, llr = channel_frames(code, cfg, first_frame, count)
+    msgs, tx, llr = channel_frames(code, cfg, first_frame, count, spec)
     res = decode(llr)
     bad = (res.x_hat != tx).any(axis=1)
     return int(bad.sum()), int((res.u_hat[bad][:, code.info_indices] != msgs[bad]).sum())
@@ -218,8 +262,8 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
         end = min(stats.frames + batch * n_workers, stop.max_frames)
         starts = range(stats.frames, end, batch)
         counts = [min(batch, end - lo) for lo in starts]
-        for frame_errors, bit_errors in pool.map(partial(_run_chunk, code, decode, cfg),
-                                                 starts, counts):
+        for frame_errors, bit_errors in pool.map(
+                partial(_run_chunk, code, decode, cfg, spec=quant), starts, counts):
             stats.frame_errors += frame_errors
             stats.bit_errors += bit_errors
         stats.frames = end

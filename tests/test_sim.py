@@ -1,5 +1,6 @@
 import os
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from fastssc import (
     construct_code,
     encode,
     polar_transform,
+    quantize_channel,
     run_ber_sweep,
     run_point,
     stats_csv_text,
@@ -88,7 +90,8 @@ def test_trial_stats_rates_and_merge(monkeypatch):
     # run_point adds its chunks' (frame_errors, bit_errors) and sizes: frames
     # 0-99 count as a, frames 100-149 as TrialStats(50, 10, 5)
     chunks = {(0, 100): (10, 30), (100, 50): (5, 10)}
-    monkeypatch.setattr(sim, "_run_chunk", lambda code, decode, cfg, first, count: chunks[first, count])
+    monkeypatch.setattr(sim, "_run_chunk",
+                        lambda code, decode, cfg, first, count, spec: chunks[first, count])
     code = construct_code(64, 50, 2.0)
     m = run_point(code, ChannelConfig(1.0, code.rate), stop=StopRule(10**9, 150), batch=100)
     assert (m.frames, m.bit_errors, m.frame_errors) == (150, 40, 15)
@@ -129,6 +132,52 @@ def test_draw_golden_values():
     assert n[64, :4] == pytest.approx(
         [0.2862208112773351, -1.6625176151701733, -1.7273213912853327, -0.5386785182589856],
         rel=1e-12)
+
+
+# chunks that open a draw block, start inside one, straddle two edges, and
+# hold one frame
+CHUNKS = [(0, 2048), (5, 100), (63, 130), (1000, 1)]
+
+
+@pytest.mark.parametrize("spec", [QuantSpec(4, 5, 0), QuantSpec(6, 7, 1), QuantSpec(9, 12, 2)],
+                         ids=str)
+def test_quantized_channel_frames_are_the_float_call_quantized(spec):
+    code = construct_code(128, 64, 2.0)
+    cfg = ChannelConfig(1.5, code.rate, seed=9)
+    for first, count in CHUNKS:
+        msgs, codewords, llr = sim.channel_frames(code, cfg, first, count)
+        q_msgs, q_codewords, words = sim.channel_frames(code, cfg, first, count, spec)
+        assert (q_msgs == msgs).all() and (q_codewords == codewords).all()
+        want = quantize_channel(llr, spec)
+        assert words.dtype == want.dtype == spec.word_dtype
+        assert words.shape == want.shape and words.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("decoder, tie_mode", [("sc", "exact"), ("fast_ssc", "exact"),
+                                               ("fast_ssc", "hardware"), ("hw", "hardware")])
+def test_run_chunk_counts_the_same_on_words(decoder, tie_mode):
+    code = construct_code(128, 64, 2.0)
+    spec = QuantSpec(4, 5, 0)
+    cfg = ChannelConfig(1.0, code.rate, seed=4)
+    decode = make_decoder(code, decoder, spec, tie_mode)
+    want = [_run_chunk(code, decode, cfg, first, count) for first, count in CHUNKS]
+    assert [_run_chunk(code, decode, cfg, first, count, spec) for first, count in CHUNKS] == want
+    assert want[0][0] > 0  # at 1 dB some frames are in error
+
+
+def test_quantized_channel_holds_no_float_chunk():
+    # the words are made one draw block at a time, so the call never holds
+    # the chunk's (2048, 1024) float64 block of 16 MiB
+    code = construct_code(1024, 870, 2.0)
+    cfg = ChannelConfig(4.0, code.rate, seed=3)
+    tracemalloc.start()
+    try:
+        words = sim.channel_frames(code, cfg, 0, 2048, QuantSpec(4, 5, 0))[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (2048, 1024) and words.dtype == np.int8
+    assert peak < 2048 * 1024 * 8
 
 
 def test_seed_range_is_checked():
