@@ -17,8 +17,9 @@ The list covers ``construct``, ``schedule`` with and without precompute,
 random frames and on ``FRAMES_FILE``, and ``ber`` CSVs and stdout with each
 decoder setting at one and two workers, with a partial last chunk, and with
 float ``fast-ssc`` at one and two workers stopped by frame errors after
-several rounds, and with ``4,5,0`` ``fast-ssc`` at one and two workers in
-chunks of 100 frames, which start inside 64-frame draw blocks.  The (64,32)
+several rounds, and with float and ``4,5,0`` ``fast-ssc`` at one and two
+workers and ``hw`` (no ``--quant``) at one worker in chunks of 100 frames,
+which start inside 64-frame draw blocks.  The (64,32)
 random-frame ``decode`` outputs are the goldens ``tests/data/decode_ga64_32_*``.
 """
 
@@ -95,9 +96,10 @@ def calls():
         name = f"ber_ga1024_512_fast_ssc_float_error_stop_w{workers}"
         yield name, ("ber", *CODES["ga1024_512"], *BER["fast_ssc_float"], *BER_ERROR_STOP,
                      "--workers", workers, "--out", f"{name}.csv")
-    for workers in ("1", "2"):
-        name = f"ber_ga1024_512_fast_ssc_q450_exact_mid_block_w{workers}"
-        yield name, ("ber", *CODES["ga1024_512"], *BER["fast_ssc_q450_exact"], *BER_MID_BLOCK,
+    for label, workers in (("fast_ssc_q450_exact", "1"), ("fast_ssc_q450_exact", "2"),
+                           ("fast_ssc_float", "1"), ("fast_ssc_float", "2"), ("hw", "1")):
+        name = f"ber_ga1024_512_{label}_mid_block_w{workers}"
+        yield name, ("ber", *CODES["ga1024_512"], *BER[label], *BER_MID_BLOCK,
                      "--workers", workers, "--out", f"{name}.csv")
 
 

@@ -162,7 +162,7 @@ def cmd_decode(args):
     code = _resolve_code(args, 1 if args.frame_file is not None else args.frames)
     if args.trace is not None and args.decoder != "hw":
         raise ValueError("--trace is only available with --decoder hw")
-    settings = _decoder_settings(args)
+    decode = sim.make_decoder(code, **_decoder_settings(args))
     if args.frame_file is not None:
         llr = _load_frames(args.frame_file, code.N)
         tx_msgs = None
@@ -170,8 +170,7 @@ def cmd_decode(args):
         if args.frames < 1:
             raise ValueError(f"--frames must be >= 1, got {args.frames}")
         cfg = sim.ChannelConfig(args.ebn0, code.rate, args.seed)
-        tx_msgs, _, llr = sim.channel_frames(code, cfg, 0, args.frames, settings["quant"])
-    decode = sim.make_decoder(code, **settings)
+        tx_msgs, _, llr = sim.channel_frames(code, cfg, 0, args.frames, decode.spec)
     result = decode(llr) if args.trace is None else decode(llr, trace=True)
     if args.trace is not None:
         hw.write_trace_jsonl(args.trace, result)

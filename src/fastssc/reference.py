@@ -52,7 +52,8 @@ def _transpose(src, dst):
 def prepare_llr(llr, N, spec=None):
     """Turn one frame or a (batch, N) block into a C-contiguous (N, batch)
     array, frames along the columns, plus a flag telling whether the input was
-    a single frame.  Decoders only read the returned array.
+    a single frame.  Decoders only read the returned array, so a checked
+    input whose transpose is C-contiguous comes back as that view, uncopied.
 
     Without a spec the LLRs come back as float64 and must satisfy |llr| <=
     float64 max / N, which rejects NaN and inf: a decode adds at most N of
@@ -82,6 +83,8 @@ def prepare_llr(llr, N, spec=None):
         arr = validate_quantized(arr, spec)
     else:
         arr = quantize_channel(arr, spec)
+    if arr.T.flags.c_contiguous:
+        return arr.T, single
     cols = np.empty((N, len(arr)), dtype=arr.dtype)
     _transpose(arr, cols)
     return cols, single

@@ -89,6 +89,19 @@ class TrialStats:
 DRAW_BLOCK = 64
 
 
+def _message_bits(bit_generator, K):
+    """A block's ``(DRAW_BLOCK, K)`` message bits, the ones ``Generator(
+    bit_generator).integers(0, 2, size=(DRAW_BLOCK, K), dtype=np.uint8)``
+    returns, at well under half its cost, leaving the same generator state.
+
+    That call takes the top bit of each byte of the raw 64-bit stream, low
+    byte first.  ``DRAW_BLOCK * K`` bytes are a whole number of words, so it
+    leaves no half word buffered either.
+    """
+    raw = bit_generator.random_raw(DRAW_BLOCK * K // 8).astype("<u8", copy=False)
+    return (raw.view(np.uint8) >> 7).reshape(DRAW_BLOCK, K)
+
+
 def _draw_messages(cfg, K, first_frame, count):
     """Messages of every block of ``DRAW_BLOCK`` frames that [first_frame,
     first_frame + count) touches, as one (blocks * DRAW_BLOCK, K) array, each
@@ -103,11 +116,9 @@ def _draw_messages(cfg, K, first_frame, count):
     msgs = np.empty((len(blocks) * DRAW_BLOCK, K), dtype=np.uint8)
     rngs = []
     for j, block in enumerate(blocks):
-        key = np.array([cfg.seed, block], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        msgs[j * DRAW_BLOCK : (j + 1) * DRAW_BLOCK] = rng.integers(
-            0, 2, size=(DRAW_BLOCK, K), dtype=np.uint8)
-        rngs.append(rng)
+        bit_generator = np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64))
+        msgs[j * DRAW_BLOCK : (j + 1) * DRAW_BLOCK] = _message_bits(bit_generator, K)
+        rngs.append(np.random.Generator(bit_generator))
     return msgs, rngs, first_frame - first_block * DRAW_BLOCK
 
 
@@ -131,9 +142,8 @@ def awgn_llr(codeword, cfg, noise):
     Bit 0 maps to +1, bit 1 to -1; the LLR of received sample y is
     ``2 y / noise_var``, positive favouring bit 0.  ``noise`` is the frames'
     unit-variance draw, a float64 array of the codeword's shape; it is
-    overwritten with the LLRs and returned, so a chunk holds one float64
-    block, not two: the whole chunk's in float, one draw block's in fixed
-    point (see :func:`channel_frames`).
+    overwritten with the LLRs and returned, so the channel holds one float64
+    block, not two: one draw block's (see :func:`channel_frames`).
 
     Each element is ``2.0 * ((1.0 - 2.0 * bit) + sqrt(var) * noise) / var``,
     evaluated in that order, on blocks of ``DRAW_BLOCK`` rows, so the
@@ -163,46 +173,46 @@ def channel_frames(code, cfg, first_frame, count, spec=None):
     """Messages, codewords and BPSK/AWGN channel LLRs of frames [first_frame,
     first_frame + count).
 
-    Without a spec the LLRs are float64, written over the chunk's draw of
-    noise.  With one they are ``spec.word_dtype`` words, the channel's
-    :func:`~fastssc.quant.quantize_channel` of those LLRs, made one draw
-    block at a time: each block's noise is drawn into one reused
-    ``(DRAW_BLOCK, N)`` float64 buffer, and its kept rows go through
-    :func:`awgn_llr` and then the quantizer, so no float64 block of the
-    chunk's size is ever held.
+    The LLRs are made one draw block at a time: the block's noise is drawn
+    into one reused ``(DRAW_BLOCK, N)`` float64 buffer, and its kept rows go
+    through :func:`awgn_llr` (and :func:`~fastssc.quant.quantize_channel`
+    given a spec) into the block's columns of one ``(N, count)`` array of
+    float64 or ``spec.word_dtype``.  Its transpose is returned, which
+    :func:`~fastssc.reference.prepare_llr` takes without a copy.
     """
-    if spec is None:
-        msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first_frame, count)
-        codewords = encode(code, msgs)
-        return msgs, codewords, awgn_llr(codewords, cfg, noise)
     msgs, rngs, skip = _draw_messages(cfg, code.K, first_frame, count)
     msgs = msgs[skip:skip + count]
     codewords = encode(code, msgs)
-    words = np.empty(codewords.shape, dtype=spec.word_dtype)
+    cols = np.empty((code.N, count), dtype=np.float64 if spec is None else spec.word_dtype)
     noise = np.empty((DRAW_BLOCK, code.N), dtype=np.float64)
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=noise)
         # the block's rows in the chunk, clipped to the range
         lo = j * DRAW_BLOCK - skip
         rows = slice(max(lo, 0), min(lo + DRAW_BLOCK, count))
-        kept = noise[rows.start - lo : rows.stop - lo]
-        words[rows] = quantize_channel(awgn_llr(codewords[rows], cfg, kept), spec)
-    return msgs, codewords, words
+        llr = awgn_llr(codewords[rows], cfg, noise[rows.start - lo : rows.stop - lo])
+        cols[:, rows] = (llr if spec is None else quantize_channel(llr, spec)).T
+    return msgs, codewords, cols.T
 
 
 def make_decoder(code, decoder, quant, tie_mode):
     """Bind :func:`run_point`'s decoder settings to a callable ``llr ->
     DecodeResult``; the ``"hw"`` one also takes ``hw_decode_frame``'s ``trace``.
+    Its ``spec`` is the word format it decodes in, the tree's for ``"hw"``.
     """
     _check_tie_mode(tie_mode)
     if decoder == "sc":
-        return lambda llr: sc_decode(code, llr, quant)
-    if decoder == "fast_ssc":
-        return lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode)
-    if decoder == "hw":
+        decode = lambda llr: sc_decode(code, llr, quant)
+    elif decoder == "fast_ssc":
+        decode = lambda llr: fast_ssc_decode(code, llr, quant, tie_mode=tie_mode)
+    elif decoder == "hw":
         tree = PuTree(code.N, quant)
-        return lambda llr, trace=False: hw_decode_frame(tree, code, llr, trace)
-    raise ValueError(f"unknown decoder {decoder!r}")
+        decode = lambda llr, trace=False: hw_decode_frame(tree, code, llr, trace)
+        quant = tree.spec
+    else:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    decode.spec = quant
+    return decode
 
 
 def resolve_workers(workers):
@@ -226,9 +236,10 @@ def _pool(n_workers, pid):
 def _run_chunk(code, decode, cfg, first_frame, count, spec=None):
     """``(frame_errors, bit_errors)`` of frames [first_frame, first_frame + count).
 
-    ``spec`` is the decoder's ``quant``: with one, the channel hands the
-    decoder ``spec.word_dtype`` words (see :func:`channel_frames`), the words
-    the decoder would have quantized from float LLRs itself.
+    ``spec`` is the decoder's ``spec``: with one, the channel hands the
+    decoder ``spec.word_dtype`` words, the words it would have quantized from
+    float LLRs itself, and either way in its own ``(N, count)`` layout, which
+    it decodes without a copy (see :func:`channel_frames`).
 
     A frame is in error exactly when its codeword estimate differs from the
     sent codeword: every decoder returns ``x_hat = u_hat * G`` with ``u_hat``
@@ -263,7 +274,7 @@ def run_point(code, cfg, decoder="fast_ssc", quant=None, tie_mode="exact",
         starts = range(stats.frames, end, batch)
         counts = [min(batch, end - lo) for lo in starts]
         for frame_errors, bit_errors in pool.map(
-                partial(_run_chunk, code, decode, cfg, spec=quant), starts, counts):
+                partial(_run_chunk, code, decode, cfg, spec=decode.spec), starts, counts):
             stats.frame_errors += frame_errors
             stats.bit_errors += bit_errors
         stats.frames = end

@@ -197,6 +197,36 @@ def test_prepare_llr_returns_word_dtype(bits, dtype):
         assert out.u_hat.shape == out.x_hat.shape == (4,)
 
 
+def test_prepare_llr_takes_a_block_already_in_column_layout_as_is(rng):
+    # sim.channel_frames returns the transpose of (N, batch) columns; the
+    # decoders take it without a copy, after the same checks, and leave it
+    # as it was.
+    code = random_code(64, rng)
+    spec = QuantSpec(4, 5, 0)
+    floats = noisy_float_llr(code, rng, 40)[1].copy(order="F")
+    words = noisy_int_llr(code, rng, 40)[1].astype(spec.word_dtype, order="F")
+    for llr, s in ((floats, None), (words, spec)):
+        cols, single = prepare_llr(llr, 64, s)
+        assert np.shares_memory(cols, llr) and cols.flags.c_contiguous and not single
+        assert (cols == llr.T).all()
+        before = llr.copy()
+        for decode in (sc_decode, fast_ssc_decode,
+                       lambda code, x, s: fast_ssc_decode(code, x, s, tie_mode="hardware")):
+            decode(code, llr, s)
+            assert llr.tobytes() == before.tobytes()
+        hw_decode_frame(PuTree(64, s), code, llr)
+        assert llr.tobytes() == before.tobytes()
+    for bad, match in ((np.nan, "finite"), (np.inf, "finite"), (1e308, "finite")):
+        llr = floats.copy(order="F")
+        llr[3, 7] = bad
+        with pytest.raises(ValueError, match=match):
+            prepare_llr(llr, 64)
+    llr = words.copy(order="F")
+    llr[3, 7] = spec.internal_limit + 1
+    with pytest.raises(ValueError, match="outside"):
+        prepare_llr(llr, 64, spec)
+
+
 def test_sc_decode_validates_quantized_inputs():
     code = construct_code(8, 4, 2.0)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastssc import (
     ChannelConfig,
+    PuTree,
     QuantSpec,
     StopRule,
     TrialStats,
@@ -23,6 +24,7 @@ from fastssc import (
     throughput_gbps,
 )
 from fastssc import sim
+from fastssc.cli import main
 from fastssc.sim import _run_chunk, draw_messages_and_noise, make_decoder, resolve_workers
 from conftest import noisy_float_llr, noisy_int_llr, random_code
 
@@ -134,6 +136,29 @@ def test_draw_golden_values():
         rel=1e-12)
 
 
+@pytest.mark.parametrize("K", [1, 3, 7, 512, 870, 1023])
+def test_message_bits_are_the_generators_integers(K):
+    # the raw stream's top bits are the bits Generator.integers draws, and
+    # leave the generator where it would: the noise that follows is the same
+    for seed in (0, 7, 2**63 + 5, 2**64 - 1):
+        for block in (0, 1, 12345):
+            key = np.array([seed, block], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            want = rng.integers(0, 2, size=(sim.DRAW_BLOCK, K), dtype=np.uint8)
+            bit_generator = np.random.Philox(key=key)
+            got = sim._message_bits(bit_generator, K)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
+            state, want_state = bit_generator.state, rng.bit_generator.state
+            assert state["has_uint32"] == want_state["has_uint32"] == 0
+            assert state["buffer_pos"] == want_state["buffer_pos"]
+            for name in ("counter", "key"):
+                assert (state["state"][name] == want_state["state"][name]).all()
+            assert (state["buffer"] == want_state["buffer"]).all()
+            noise = np.random.Generator(bit_generator).standard_normal(2 * K)
+            assert noise.tobytes() == rng.standard_normal(2 * K).tobytes()
+
+
 # chunks that open a draw block, start inside one, straddle two edges, and
 # hold one frame
 CHUNKS = [(0, 2048), (5, 100), (63, 130), (1000, 1)]
@@ -178,6 +203,75 @@ def test_quantized_channel_holds_no_float_chunk():
         tracemalloc.stop()
     assert words.shape == (2048, 1024) and words.dtype == np.int8
     assert peak < 2048 * 1024 * 8
+
+
+@pytest.mark.parametrize("spec", [None, QuantSpec(4, 5, 0), QuantSpec(9, 12, 2)], ids=str)
+def test_channel_frames_is_draw_encode_channel_in_column_layout(spec):
+    # each draw block's LLRs are stored straight into one (N, count) array,
+    # which the decoders take as their columns without a copy
+    code = construct_code(128, 64, 2.0)
+    cfg = ChannelConfig(1.5, code.rate, seed=9)
+    for first, count in CHUNKS:
+        msgs, noise = draw_messages_and_noise(cfg, code.K, code.N, first, count)
+        codewords = encode(code, msgs)
+        want = awgn_llr(codewords, cfg, noise)
+        if spec is not None:
+            want = quantize_channel(want, spec)
+        got_msgs, got_codewords, llr = sim.channel_frames(code, cfg, first, count, spec)
+        assert (got_msgs == msgs).all() and (got_codewords == codewords).all()
+        assert llr.dtype == want.dtype and llr.shape == want.shape == (count, code.N)
+        assert llr.tobytes() == want.tobytes()
+        assert llr.T.flags.c_contiguous
+
+
+def test_float_chunk_holds_its_llrs_once():
+    # 40 MiB against 56 MiB while a chunk held a (count, N) float64 block
+    # and prepare_llr's transposed copy of it
+    code = construct_code(1024, 512, 2.0)
+    cfg = ChannelConfig(2.5, code.rate, seed=3)
+    decode = make_decoder(code, "fast_ssc", None, "exact")
+    _run_chunk(code, decode, cfg, 0, 64)  # builds the code's cached plan
+    tracemalloc.start()
+    try:
+        _run_chunk(code, decode, cfg, 0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2**20
+
+
+def test_hw_channel_makes_words_in_the_tree_spec(monkeypatch, capsys):
+    # with no quant the datapath model runs in PuTree's default spec, and the
+    # channel hands it those words instead of float LLRs to quantize
+    code = construct_code(128, 64, 2.0)
+    cfg = ChannelConfig(1.0, code.rate, seed=4)
+    decode = make_decoder(code, "hw", None, "hardware")
+    assert decode.spec == PuTree(code.N).spec
+    assert make_decoder(code, "fast_ssc", None, "exact").spec is None
+    # counts on float LLRs, which the tree quantizes itself
+    want = [_run_chunk(code, decode, cfg, first, count) for first, count in CHUNKS]
+    want_point = [_run_chunk(code, decode, cfg, lo, 100) for lo in (0, 100, 200)]
+    dtypes = []
+    channel = sim.channel_frames
+
+    def spy(*args):
+        out = channel(*args)
+        dtypes.append(out[2].dtype)
+        return out
+
+    monkeypatch.setattr(sim, "channel_frames", spy)
+    assert [_run_chunk(code, decode, cfg, first, count, decode.spec)
+            for first, count in CHUNKS] == want
+    stats = run_point(code, cfg, decoder="hw", stop=StopRule(10**9, 300), batch=100)
+    assert (stats.frame_errors, stats.bit_errors) == tuple(map(sum, zip(*want_point)))
+    assert stats.frame_errors > 0
+    outputs = []
+    for quant in ([], ["--quant", "4,5,0"]):
+        assert main(["decode", "--n", "128", "--k", "64", "--decoder", "hw",
+                     "--frames", "5", "--ebn0", "1", *quant]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert dtypes and set(dtypes) == {np.dtype(np.int8)}
 
 
 def test_seed_range_is_checked():
